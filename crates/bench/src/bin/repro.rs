@@ -94,13 +94,12 @@ use acspec_vcgen::chaos::ChaosConfig;
 use acspec_vcgen::stage::Stage;
 use acspec_vcgen::wp::wp_interned;
 
-const USAGE: &str = "usage: repro <fig5|fig6|fig7|fig8|fig9|profile|bench|bench-parallel|\
-trace-diff|corpus|store|ablation-incremental|ablation-normalize|ablation-interproc|all> \
-[--scale N] [--top K] [--top-terms] [--sort wall|queries|conflicts] [--best-of N] [--out path] \
+const USAGE: &str = "usage: repro <fig5|fig6|fig7|fig8|fig9|profile|bench|trace-diff|corpus|store|\
+ablation-incremental|ablation-normalize|ablation-interproc|all> [--scale N] [--top K] \
+[--top-terms] [--sort wall|queries|conflicts] [--best-of N] [--out path] \
 [--trace-out path] [--trace-format jsonl|perfetto] [--metrics-out path] \
 [--certs-out path] [--no-query-cache] [--threads N] [--deadline secs] \
-[--chaos-seed u64] [--chaos-rate p] [--portfolio] [--cube-split K] \
-[--search-threads N] [--restart-base N]\n\
+[--chaos-seed u64] [--chaos-rate p]\n\
        repro corpus <list|run|bless|diff> [--scenario NAME] [--corpus-dir DIR] [--report path] \
 [--store-dir DIR] [--store-chaos-seed u64] [--store-chaos-rate p]\n\
        repro store <stat|gc|verify> --store-dir DIR";
@@ -113,7 +112,6 @@ const COMMANDS: &[&str] = &[
     "fig9",
     "profile",
     "bench",
-    "bench-parallel",
     "trace-diff",
     "corpus",
     "store",
@@ -134,10 +132,6 @@ const KNOB_FLAGS: &[&str] = &[
     "--deadline",
     "--chaos-seed",
     "--chaos-rate",
-    "--portfolio",
-    "--cube-split",
-    "--search-threads",
-    "--restart-base",
 ];
 
 /// The telemetry/certificate sink flags accepted by every figure
@@ -167,7 +161,7 @@ fn allowed_flags(cmd: &str) -> Vec<&'static str> {
             allowed.extend(SINK_FLAGS);
             allowed.extend(KNOB_FLAGS);
         }
-        "bench" | "bench-parallel" => {
+        "bench" => {
             allowed.extend(["--scale", "--best-of", "--out"]);
             allowed.extend(KNOB_FLAGS);
         }
@@ -220,16 +214,6 @@ struct Cli {
     deadline: Option<f64>,
     chaos_seed: Option<u64>,
     chaos_rate: Option<f64>,
-    /// `--portfolio`: race diversified solver forks on hard queries.
-    portfolio: bool,
-    /// `--cube-split K`: cube-and-conquer ALL-SAT over the top-K
-    /// indicator branching variables.
-    cube_split: Option<u32>,
-    /// `--search-threads N`: search-worker budget shared by procedure
-    /// fan-out and in-query parallelism (0/absent = follow --threads).
-    search_threads: Option<usize>,
-    /// `--restart-base N`: Luby restart base interval (conflicts).
-    restart_base: Option<u64>,
     /// Positional file arguments (only `trace-diff` takes any).
     files: Vec<String>,
     /// `corpus` action: list, run, bless, or diff.
@@ -259,10 +243,6 @@ struct RunKnobs {
     threads: Option<usize>,
     deadline: Option<Duration>,
     chaos: Option<ChaosConfig>,
-    portfolio: bool,
-    cube_split: Option<u32>,
-    search_threads: Option<usize>,
-    restart_base: Option<u64>,
     certify: bool,
 }
 
@@ -278,10 +258,6 @@ impl Cli {
             chaos: (self.chaos_seed.is_some() || self.chaos_rate.is_some()).then(|| {
                 ChaosConfig::new(self.chaos_seed.unwrap_or(0), self.chaos_rate.unwrap_or(0.0))
             }),
-            portfolio: self.portfolio,
-            cube_split: self.cube_split,
-            search_threads: self.search_threads,
-            restart_base: self.restart_base,
         }
     }
 }
@@ -330,10 +306,6 @@ fn parse_args() -> Cli {
         deadline: None,
         chaos_seed: None,
         chaos_rate: None,
-        portfolio: false,
-        cube_split: None,
-        search_threads: None,
-        restart_base: None,
         files: Vec::new(),
         corpus_action: None,
         scenario: None,
@@ -493,42 +465,6 @@ fn parse_args() -> Cli {
                 );
                 i += 2;
             }
-            "--portfolio" => {
-                cli.portfolio = true;
-                i += 1;
-            }
-            "--cube-split" => {
-                cli.cube_split = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .unwrap_or_else(|| {
-                            usage_error("--cube-split needs a non-negative integer")
-                        }),
-                );
-                i += 2;
-            }
-            "--search-threads" => {
-                cli.search_threads = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            usage_error("--search-threads needs a positive integer")
-                        }),
-                );
-                i += 2;
-            }
-            "--restart-base" => {
-                cli.restart_base = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            usage_error("--restart-base needs a positive conflict count")
-                        }),
-                );
-                i += 2;
-            }
             "--scenario" => {
                 cli.scenario = Some(
                     args.get(i + 1)
@@ -672,10 +608,6 @@ fn main() {
         bench(&cli, knobs);
         return;
     }
-    if cli.cmd == "bench-parallel" {
-        bench_parallel(&cli, knobs);
-        return;
-    }
     let telemetry_on = cli.trace_out.is_some() || cli.metrics_out.is_some();
     let needs_trace = telemetry_on || cli.cmd == "profile";
     // CDCL search summaries ride along whenever a trace or metrics sink
@@ -749,19 +681,9 @@ fn eval_opts(knobs: RunKnobs) -> EvalOptions {
     opts.analyzer.query_cache = knobs.query_cache;
     opts.analyzer.deadline = knobs.deadline;
     opts.analyzer.chaos = knobs.chaos;
-    opts.analyzer.portfolio = knobs.portfolio;
     opts.certify = knobs.certify;
-    if let Some(k) = knobs.cube_split {
-        opts.analyzer.cube_split = k;
-    }
-    if let Some(base) = knobs.restart_base {
-        opts.analyzer.restart_base = base;
-    }
     if let Some(threads) = knobs.threads {
         opts.threads = threads;
-    }
-    if let Some(n) = knobs.search_threads {
-        opts.search_threads = n;
     }
     opts
 }
@@ -810,18 +732,6 @@ fn write_sinks(cli: &Cli, out: &TelemetryOutput) {
             if let Some(rate) = cli.chaos_rate {
                 options.push(opt("chaos_rate", rate));
             }
-            if cli.portfolio {
-                options.push(opt("portfolio", true));
-            }
-            if let Some(k) = cli.cube_split {
-                options.push(opt("cube_split", k));
-            }
-            if let Some(n) = cli.search_threads {
-                options.push(opt("search_threads", n));
-            }
-            if let Some(base) = cli.restart_base {
-                options.push(opt("restart_base", base));
-            }
             options
         },
     };
@@ -836,35 +746,6 @@ fn write_sinks(cli: &Cli, out: &TelemetryOutput) {
         out.write_metrics(path, Some(&manifest))
             .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
     }
-}
-
-/// One instrumented run of a perf-snapshot workload ([`BENCH_WORKLOADS`]
-/// names them): CDCL search summaries on, wall clock around the whole
-/// evaluation. Returns the wall seconds and the run's metrics registry.
-fn bench_run(kinds: &[SuiteKind], scale: usize, knobs: RunKnobs) -> (f64, MetricsRegistry) {
-    acspec_bench::bench_workload_run(kinds, scale, &eval_opts(knobs))
-}
-
-/// Best-of-N [`bench_run`]: minimum wall wins; counters are
-/// deterministic and identical across reps.
-fn bench_best_of(
-    kinds: &[SuiteKind],
-    scale: usize,
-    knobs: RunKnobs,
-    best_of: usize,
-) -> (f64, MetricsRegistry) {
-    let mut best: Option<(f64, MetricsRegistry)> = None;
-    for _ in 0..best_of {
-        let (wall, metrics) = bench_run(kinds, scale, knobs);
-        let better = match &best {
-            None => true,
-            Some((w, _)) => wall < *w,
-        };
-        if better {
-            best = Some((wall, metrics));
-        }
-    }
-    best.expect("best_of >= 1")
 }
 
 /// One `"p50"/"p90"/"p100"` histogram summary for the snapshot.
@@ -909,7 +790,19 @@ fn bench(cli: &Cli, knobs: RunKnobs) {
     // counter sets differ — an earlier snapshot gated the identical
     // large-suite evaluation under two labels.
     for (wi, (workload, kinds)) in BENCH_WORKLOADS.iter().enumerate() {
-        let (wall, metrics) = bench_best_of(kinds, scale, knobs, cli.best_of);
+        let opts = eval_opts(knobs);
+        let mut best: Option<(f64, MetricsRegistry)> = None;
+        for _ in 0..cli.best_of {
+            let (wall, metrics) = acspec_bench::bench_workload_run(kinds, scale, &opts);
+            let better = match &best {
+                None => true,
+                Some((w, _)) => wall < *w,
+            };
+            if better {
+                best = Some((wall, metrics));
+            }
+        }
+        let (wall, metrics) = best.expect("best_of >= 1");
         let maxrss = max_rss_kb();
         println!(
             "{workload} --scale {scale}: wall {wall:.3}s, maxrss {maxrss} kB, {} queries, \
@@ -947,99 +840,6 @@ fn bench(cli: &Cli, knobs: RunKnobs) {
     std::fs::write(out_path, &json)
         .unwrap_or_else(|e| usage_error(&format!("cannot write {out_path}: {e}")));
     println!("\n(wrote perf snapshot to {out_path})");
-}
-
-/// `repro bench-parallel`: the parallel-search speedup snapshot
-/// (`BENCH_parallel.json`). Runs the fig8 workload (large suite)
-/// best-of-N at a 1-worker and a 4-worker search budget. The solver
-/// counters must be byte-identical across budgets — parallel search is
-/// a scheduling change, never a search change — and the wall ratio is
-/// recorded as the speedup. The machine's core count rides along so the
-/// CI gate can require ≥1.3× only where four workers can actually run
-/// in parallel.
-fn bench_parallel(cli: &Cli, mut knobs: RunKnobs) {
-    const BUDGETS: [usize; 2] = [1, 4];
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_parallel.json");
-    let scale = cli.scale;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The snapshot measures the parallel search core, so both legs run
-    // with the full machinery on (same knobs → same search plan): the
-    // budget alone decides whether procedure fan-out, portfolio races,
-    // and cube lanes actually overlap.
-    knobs.portfolio = true;
-    knobs.cube_split = Some(knobs.cube_split.unwrap_or(2));
-    println!(
-        "== Parallel-search snapshot: fig8 best-of-{} at scale 1/{scale}, \
-         search budgets {BUDGETS:?} ({cores} core(s)) ==\n",
-        cli.best_of
-    );
-    let mut legs: Vec<(usize, f64, MetricsRegistry)> = Vec::new();
-    for &budget in &BUDGETS {
-        let mut k = knobs;
-        k.search_threads = Some(budget);
-        let (wall, metrics) = bench_best_of(&[SuiteKind::Large], scale, k, cli.best_of);
-        println!(
-            "fig8 --scale {scale} --search-threads {budget}: wall {wall:.3}s, {} queries, \
-             {} conflicts",
-            metrics.counter("solver.queries"),
-            metrics.counter("solver.conflicts"),
-        );
-        legs.push((budget, wall, metrics));
-    }
-    // Determinism gate: a counter differing across search budgets means
-    // the parallel machinery changed the search, not just its schedule.
-    let mut drifted = false;
-    for name in BENCH_COUNTERS {
-        let v0 = legs[0].2.counter(name);
-        for (budget, _, metrics) in &legs[1..] {
-            let v = metrics.counter(name);
-            if v != v0 {
-                eprintln!(
-                    "FAIL {name}: {v0} at --search-threads {} but {v} at --search-threads \
-                     {budget}",
-                    legs[0].0
-                );
-                drifted = true;
-            }
-        }
-    }
-    if drifted {
-        eprintln!("parallel search diverged from the sequential plan");
-        std::process::exit(1);
-    }
-    let speedup = legs[0].1 / legs[1].1.max(1e-9);
-    let q = |v: f64| (v * 1e6).round() / 1e6;
-    let mut json = String::from("{\n  \"schema\": 1,\n  \"snapshot\": \"parallel\",\n");
-    json.push_str(&format!("  \"best_of\": {},\n", cli.best_of));
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str(&format!("  \"workload\": \"fig8 --scale {scale}\",\n"));
-    json.push_str("  \"legs\": {\n");
-    for (li, (budget, wall, metrics)) in legs.iter().enumerate() {
-        json.push_str(&format!("    \"search-threads {budget}\": {{\n"));
-        json.push_str("      \"wall_s\": ");
-        write_f64(&mut json, q(*wall));
-        json.push_str(",\n      \"counters\": {\n");
-        for (ci, name) in BENCH_COUNTERS.iter().enumerate() {
-            json.push_str(&format!("        \"{name}\": {}", metrics.counter(name)));
-            json.push_str(if ci + 1 < BENCH_COUNTERS.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        json.push_str("      }\n    }");
-        json.push_str(if li + 1 < legs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  },\n  \"speedup\": ");
-    write_f64(&mut json, q(speedup));
-    json.push_str("\n}\n");
-    std::fs::write(out_path, &json)
-        .unwrap_or_else(|e| usage_error(&format!("cannot write {out_path}: {e}")));
-    println!(
-        "\ncounters byte-identical across budgets; speedup {speedup:.2}x at 4 search threads \
-         ({cores} core(s))"
-    );
-    println!("(wrote parallel snapshot to {out_path})");
 }
 
 /// `repro trace-diff <a> <b>`: aligns two `--trace-out` JSONL traces by

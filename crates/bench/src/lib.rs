@@ -119,10 +119,6 @@ pub struct EvalOptions {
     /// deterministic regardless of this setting). `0` = available
     /// parallelism.
     pub threads: usize,
-    /// Search-worker budget shared by procedure fan-out and in-query
-    /// parallelism (portfolio forks, cube lanes). `0` = follow
-    /// `threads`. Deterministic regardless of this setting.
-    pub search_threads: usize,
     /// Emit per-verdict certificates (the `--certs-out` sidecar).
     /// Certification replays claim-backing queries into fresh proof-
     /// logging solvers outside the staged timings, so reports stay
@@ -139,7 +135,6 @@ impl Default for EvalOptions {
             },
             configs: &[ConfigName::Conc, ConfigName::A1, ConfigName::A2],
             threads: 0,
-            search_threads: 0,
             certify: false,
         }
     }
@@ -180,7 +175,6 @@ pub fn evaluate_with(
         .configs(opts.configs)
         .prune_variants(&prune_variants)
         .threads(opts.threads)
-        .search_threads(opts.search_threads)
         .certify(opts.certify)
         .run(observer);
 

@@ -42,6 +42,20 @@ fn unknown_command_is_a_usage_error() {
 }
 
 #[test]
+fn retired_search_options_are_usage_errors() {
+    for flag in [
+        &["--portfolio"][..],
+        &["--cube-split", "2"],
+        &["--search-threads", "4"],
+        &["--restart-base", "16"],
+    ] {
+        let args: Vec<&str> = ["fig9"].iter().chain(flag).copied().collect();
+        assert_usage_error(&args, &format!("unknown flag `{}`", flag[0]));
+    }
+    assert_usage_error(&["bench-parallel"], "unknown command `bench-parallel`");
+}
+
+#[test]
 fn flag_outside_its_command_whitelist_is_rejected() {
     // Valid flags for other commands must not silently no-op.
     assert_usage_error(&["fig5", "--best-of", "2"], "not valid for `repro fig5`");

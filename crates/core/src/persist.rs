@@ -81,13 +81,7 @@ pub fn entry_key(fingerprint: &str, options: &str) -> String {
 
 /// Digest of everything about the analysis *request* (as opposed to the
 /// program) that a stored result depends on. Thread count is excluded:
-/// reports are deterministic across `--threads`. The search-worker
-/// budget (`--search-threads`) is excluded for the same reason —
-/// portfolio races and cube workers merge deterministically, so a warm
-/// store recorded under one budget replays under any other. (The
-/// `portfolio`/`cube_split`/`restart_base` *analyzer* knobs, by
-/// contrast, can change query counts or witness models and are digested
-/// via `base.analyzer`'s `Debug` form.)
+/// reports are deterministic across `--threads`.
 pub fn options_digest(
     base: &AcspecOptions,
     configs: &[ConfigName],

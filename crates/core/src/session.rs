@@ -56,9 +56,8 @@ use acspec_predabs::clause::{clauses_to_formula, QClause};
 use acspec_predabs::cover::{predicate_cover_salvaging, Cover};
 use acspec_predabs::mine::mine_predicates_interned;
 use acspec_predabs::normalize::{normalize, prune_clauses, PruneConfig};
-use acspec_smt::SearchPool;
 use acspec_smt::{SearchSummary, SolverCounters, TermId};
-use acspec_vcgen::analyzer::{AnalyzerConfig, ParallelStats, ProcAnalyzer, QueryOutcome, Selector};
+use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer, QueryOutcome, Selector};
 use acspec_vcgen::cache::CacheStats;
 use acspec_vcgen::chaos::ChaosStats;
 use acspec_vcgen::stage::{FaultReason, Stage, StageError, StageMetrics, StageTable};
@@ -143,10 +142,6 @@ pub struct StageEvent {
     /// intern hits, memo hits per transformer; all zero for stages that
     /// never touch the arena). Telemetry only, like `cache`.
     pub terms: TermStats,
-    /// Parallel-search counter deltas for this stage run (portfolio
-    /// races, cube sessions; all zero when both are off). Telemetry
-    /// only, like `cache`.
-    pub parallel: ParallelStats,
 }
 
 /// One completed solver query, for [`SessionObserver`]s that opt in via
@@ -415,7 +410,6 @@ impl ProcSession {
             cache: CacheStats::default(),
             chaos: ChaosStats::default(),
             terms: az.term_stats(),
-            parallel: ParallelStats::default(),
         }];
         Ok(ProcSession {
             proc_name: proc.name.clone(),
@@ -496,13 +490,9 @@ impl ProcSession {
         &mut self.az
     }
 
-    /// Installs the shared worker-permit pool on the analyzer, so this
-    /// session's portfolio races and cube workers draw spare threads
-    /// from the same budget as every other session's
-    /// ([`ProgramAnalysis::search_threads`]).
-    pub fn set_pool(&mut self, pool: std::sync::Arc<SearchPool>) {
-        self.az.set_pool(pool);
-    }
+    /// Does nothing: the analysis has no in-query parallelism to size.
+    /// Retained for the benchmark's mirror, which still calls it.
+    pub fn set_pool(&mut self, _pool: std::sync::Arc<acspec_smt::SearchPool>) {}
 
     /// Drains the event log (stage completions in execution order).
     pub fn take_events(&mut self) -> Vec<StageEvent> {
@@ -538,7 +528,6 @@ impl ProcSession {
         let cache_before = self.az.cache_stats();
         let chaos_before = self.az.chaos_stats();
         let terms_before = self.az.term_stats();
-        let parallel_before = self.az.parallel_stats();
         let out = f(self);
         let query_seconds = self.az.stage_stats().get(stage).seconds - before.seconds;
         let external = (wall.elapsed().as_secs_f64() - query_seconds).max(0.0);
@@ -581,7 +570,6 @@ impl ProcSession {
             cache: self.az.cache_stats().since(&cache_before),
             chaos: self.az.chaos_stats().since(&chaos_before),
             terms: self.az.term_stats().since(&terms_before),
-            parallel: self.az.parallel_stats().since(&parallel_before),
         });
         (out, metrics)
     }
@@ -1513,10 +1501,6 @@ pub struct ProgramAnalysis<'p> {
     configs: Vec<ConfigName>,
     prune_variants: Vec<PruneConfig>,
     threads: usize,
-    /// Unified search-worker budget (`0` = same as `threads`): the
-    /// total thread count shared between procedure-level fan-out and
-    /// query-level parallelism (portfolio races, cube workers).
-    search_threads: usize,
     skip_correct: bool,
     certify: bool,
     store: Option<&'p StoreSession>,
@@ -1640,7 +1624,6 @@ impl<'p> ProgramAnalysis<'p> {
             configs: vec![ConfigName::Conc, ConfigName::A1, ConfigName::A2],
             prune_variants: Vec::new(),
             threads: 0,
-            search_threads: 0,
             skip_correct: true,
             certify: false,
             store: None,
@@ -1681,20 +1664,6 @@ impl<'p> ProgramAnalysis<'p> {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the unified search-worker budget: the total thread count
-    /// shared — via one [`SearchPool`] — between procedure-level
-    /// fan-out and query-level parallelism (portfolio races, cube
-    /// workers). `0` (the default) tracks [`ProgramAnalysis::threads`].
-    /// Procedure fan-out claims `min(threads, search_threads)` workers;
-    /// the remainder becomes spare permits sessions race on. Output is
-    /// deterministic regardless of this setting, which is why it stays
-    /// out of the store's options digest (like `threads`).
-    #[must_use]
-    pub fn search_threads(mut self, search_threads: usize) -> Self {
-        self.search_threads = search_threads;
         self
     }
 
@@ -1755,7 +1724,6 @@ impl<'p> ProgramAnalysis<'p> {
         proc: &Procedure,
         record_queries: bool,
         record_search: bool,
-        pool: &std::sync::Arc<SearchPool>,
     ) -> Result<ProcAnalysis, AcspecError> {
         let mut incidents = Vec::new();
         let store_key = self.store_key(proc);
@@ -1774,7 +1742,6 @@ impl<'p> ProgramAnalysis<'p> {
             }
         }
         let mut session = ProcSession::new(self.program, proc, self.base.analyzer)?;
-        session.set_pool(pool.clone());
         session.set_query_recording(record_queries);
         session.set_search_recording(record_search);
         if self.certify {
@@ -1823,12 +1790,11 @@ impl<'p> ProgramAnalysis<'p> {
         proc: &Procedure,
         record_queries: bool,
         record_search: bool,
-        pool: &std::sync::Arc<SearchPool>,
     ) -> ProcOutcome {
         CURRENT_STAGE.with(|c| c.set(None));
         CURRENT_PROC.with(|c| *c.borrow_mut() = Some(proc.name.clone()));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_one(proc, record_queries, record_search, pool)
+            self.analyze_one(proc, record_queries, record_search)
         }));
         match result {
             Ok(Ok(pa)) => ProcOutcome::Analyzed(Box::new(pa)),
@@ -1867,24 +1833,13 @@ impl<'p> ProgramAnalysis<'p> {
             self.threads
         }
         .min(defined.len().max(1));
-        // One worker budget for the whole run: procedure fan-out claims
-        // up to `search_threads` workers; whatever is left over becomes
-        // spare permits that sessions' portfolio races and cube workers
-        // draw from. Results never depend on permit availability.
-        let search_budget = if self.search_threads == 0 {
-            threads
-        } else {
-            self.search_threads
-        };
-        let threads = threads.min(search_budget).max(1);
-        let pool = std::sync::Arc::new(SearchPool::new(search_budget.saturating_sub(threads)));
         let record_queries = observer.wants_queries();
         let record_search = observer.wants_search();
 
         let results: Vec<ProcOutcome> = if threads <= 1 {
             defined
                 .iter()
-                .map(|p| self.analyze_one_isolated(p, record_queries, record_search, &pool))
+                .map(|p| self.analyze_one_isolated(p, record_queries, record_search))
                 .collect()
         } else {
             // Longest procedures first, so the heaviest one (e.g. Drv7)
@@ -1904,12 +1859,8 @@ impl<'p> ProgramAnalysis<'p> {
                             break;
                         }
                         let i = order[k];
-                        let result = self.analyze_one_isolated(
-                            defined[i],
-                            record_queries,
-                            record_search,
-                            &pool,
-                        );
+                        let result =
+                            self.analyze_one_isolated(defined[i], record_queries, record_search);
                         *slots[i].lock().expect("no poisoning") = Some(result);
                     });
                 }
@@ -2136,17 +2087,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matrix_is_byte_identical() {
-        // Every point of the worker-budget × portfolio × cube matrix
-        // must reproduce the sequential run exactly: same reports, same
-        // warning set (including witnesses), and — whenever the cover
-        // stage runs on the incremental solver (cube off) — byte-
-        // identical certificate fragments. Cube-split runs enumerate on
-        // fresh per-cube solvers instead of the parent context, so their
-        // fresh-variable suffixes (and hence certificate bytes) shift;
-        // those certificates are held to the independent checker
-        // instead. Permits decide *when* work runs, never *what* is
-        // computed.
+    fn reports_and_certificates_are_byte_identical_across_thread_counts() {
         let prog = parse_program(
             "procedure f(x: int) { if (x == 0) { assert x != 0; } }
              procedure g(p: int, q: int) {
@@ -2155,20 +2096,10 @@ mod tests {
              procedure ok(x: int) { assume x > 0; assert x > 0; }",
         )
         .expect("parses");
-        let run = |threads: usize, portfolio: bool, cube_split: u32| {
-            let opts = AcspecOptions {
-                analyzer: AnalyzerConfig {
-                    portfolio,
-                    cube_split,
-                    ..AnalyzerConfig::default()
-                },
-                ..AcspecOptions::default()
-            };
+        let run = |threads: usize| {
             let mut totals = StageTotals::default();
             let results: Vec<ProcAnalysis> = ProgramAnalysis::new(&prog)
-                .options(opts)
                 .threads(threads)
-                .search_threads(threads)
                 .certify(true)
                 .run(&mut totals)
                 .into_iter()
@@ -2195,35 +2126,14 @@ mod tests {
                 .collect();
             (reports, certs)
         };
-        let (base_reports, base_certs) = run(1, false, 0);
-        for threads in [1usize, 2, 8] {
-            for portfolio in [false, true] {
-                for cube_split in [0u32, 2] {
-                    let (reports, certs) = run(threads, portfolio, cube_split);
-                    assert_eq!(
-                        reports, base_reports,
-                        "threads={threads} portfolio={portfolio} \
-                         cube_split={cube_split} diverged from sequential"
-                    );
-                    if cube_split == 0 {
-                        assert_eq!(
-                            certs, base_certs,
-                            "threads={threads} portfolio={portfolio}: \
-                             certificates not byte-identical"
-                        );
-                    } else {
-                        let doc = crate::certs_json_from_fragments(&certs);
-                        let summary = acspec_check::check_document(&doc);
-                        assert!(
-                            summary.ok(),
-                            "threads={threads} portfolio={portfolio} \
-                             cube_split={cube_split}: certificates failed \
-                             the checker: {:?}",
-                            summary.errors.first()
-                        );
-                    }
-                }
-            }
+        let (base_reports, base_certs) = run(1);
+        for threads in [2usize, 8] {
+            let (reports, certs) = run(threads);
+            assert_eq!(reports, base_reports, "threads={threads}: reports diverged");
+            assert_eq!(
+                certs, base_certs,
+                "threads={threads}: certificates diverged"
+            );
         }
     }
 

@@ -27,7 +27,6 @@ use acspec_smt::{LBD_BUCKET_BOUNDS, RESTART_BUCKET_BOUNDS};
 use acspec_telemetry::{
     Histogram, Manifest, MetricsRegistry, SpanHandle, Trace, TraceBuf, TraceRender,
 };
-use acspec_vcgen::analyzer::WIN_LATENCY_BOUNDS_US;
 use acspec_vcgen::stage::Stage;
 
 use crate::report::{AnalysisIncident, Fallback, IncidentKind, ReportLabel};
@@ -224,32 +223,6 @@ impl SessionObserver for TelemetryObserver {
             self.metrics.inc("chaos.blowups", event.chaos.blowups);
             self.metrics.inc("chaos.latencies", event.chaos.latencies);
             self.metrics.inc("chaos.panics", event.chaos.panics);
-        }
-        // Parallel-search counters only appear when portfolio racing or
-        // cube splitting actually ran, so sequential runs keep
-        // byte-identical metric snapshots.
-        if !event.parallel.is_zero() {
-            let p = &event.parallel;
-            self.metrics.inc("portfolio.queries", p.portfolio_queries);
-            self.metrics.inc("portfolio.forked", p.portfolio_forked);
-            self.metrics.inc("portfolio.rounds", p.portfolio_rounds);
-            self.metrics.inc("portfolio.wins", p.portfolio_wins);
-            self.metrics.inc("portfolio.rescues", p.portfolio_rescues);
-            if p.portfolio_wins > 0 {
-                let bounds: Vec<f64> = WIN_LATENCY_BOUNDS_US
-                    .iter()
-                    .map(|&b| b as f64 / 1e6)
-                    .collect();
-                let hist = Histogram::from_parts(
-                    &bounds,
-                    &p.portfolio_win_latency,
-                    p.portfolio_win_micros as f64 / 1e6,
-                );
-                self.metrics.merge_histogram("portfolio.win_seconds", &hist);
-            }
-            self.metrics.inc("cube.sessions", p.cube_sessions);
-            self.metrics.inc("cube.workers", p.cube_workers);
-            self.metrics.inc("cube.models", p.cube_models);
         }
         // Likewise for the term arena: stages that never intern keep
         // prior metric snapshots unchanged.

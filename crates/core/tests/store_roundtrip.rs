@@ -87,10 +87,16 @@ impl RunOut {
 }
 
 fn run(program: &Program, store: Option<&StoreSession>) -> RunOut {
+    run_threads(program, store, 0)
+}
+
+/// [`run`] at an explicit worker count (`0` = available parallelism).
+fn run_threads(program: &Program, store: Option<&StoreSession>, threads: usize) -> RunOut {
     let mut totals = StageTotals::default();
     let outcomes = ProgramAnalysis::new(program)
         .configs(CONFIGS)
         .certify(true)
+        .threads(threads)
         .store(store)
         .run(&mut totals);
     let mut out = RunOut {
@@ -160,56 +166,23 @@ fn warm_rerun_is_byte_identical_with_zero_queries() {
 }
 
 #[test]
-fn warm_replay_hits_across_search_thread_budgets() {
-    // The search-worker budget (`--search-threads`) is excluded from
-    // the options digest, like `--threads`: entries recorded under one
-    // budget replay warm under any other, with portfolio racing and
-    // cube splitting enabled, because parallel search merges
-    // deterministically.
-    let dir = tmpdir("search-threads");
-    let p = program();
-    let analyzer = acspec_vcgen::analyzer::AnalyzerConfig {
-        portfolio: true,
-        cube_split: 2,
-        ..acspec_vcgen::analyzer::AnalyzerConfig::default()
-    };
-    let run_with = |search_threads: usize, store: &StoreSession| {
-        let mut totals = StageTotals::default();
-        let outcomes = ProgramAnalysis::new(&p)
-            .configs(CONFIGS)
-            .analyzer(analyzer)
-            .certify(true)
-            .threads(1)
-            .search_threads(search_threads)
-            .store(Some(store))
-            .run(&mut totals);
-        let queries: u64 = totals.iter().map(|(_, t)| t.total_queries()).sum();
-        let mut reports = Vec::new();
-        let mut from_store = Vec::new();
-        for o in outcomes {
-            let pa = o.into_analysis().expect("analyzed");
-            from_store.push(pa.from_store);
-            reports.extend(pa.reports.into_iter().flatten());
-            reports.push(pa.cons);
-        }
-        let refs: Vec<&ProcReport> = reports.iter().collect();
-        (
-            program_report_json_with(&refs, &[], None),
-            from_store,
-            queries,
-        )
-    };
+fn warm_replay_hits_across_thread_counts() {
+    // `--threads` is excluded from the options digest: entries recorded
+    // at one worker count replay warm at any other.
+    let dir = tmpdir("threads");
     let store = StoreSession::open(&dir).expect("opens");
-    let (cold_json, cold_from, cold_queries) = run_with(4, &store);
-    assert!(cold_queries > 0, "cold run must actually solve");
-    assert!(cold_from.iter().all(|&b| !b));
-    let (warm_json, warm_from, warm_queries) = run_with(1, &store);
+    let p = program();
+    let cold = run_threads(&p, Some(&store), 4);
+    assert!(cold.queries > 0, "cold run must actually solve");
+    assert!(cold.from_store.iter().all(|&b| !b));
+    let warm = run_threads(&p, Some(&store), 1);
     assert!(
-        warm_from.iter().all(|&b| b),
-        "a different --search-threads budget missed the store"
+        warm.from_store.iter().all(|&b| b),
+        "a different --threads count missed the store"
     );
-    assert_eq!(warm_queries, 0, "warm replay performed solver queries");
-    assert_eq!(cold_json, warm_json, "report drifted across budgets");
+    assert_eq!(warm.queries, 0, "warm replay performed solver queries");
+    assert_eq!(cold.report_json(), warm.report_json(), "report drifted");
+    assert_eq!(cold.certs_doc(), warm.certs_doc(), "certificates drifted");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -39,20 +39,9 @@ pub struct RunLeg {
     pub query_cache: bool,
     /// Worker threads.
     pub threads: usize,
-    /// Install the chaos harness (seed 42) at `chaos_rate`. Rate 0 must
-    /// be byte-identical to no harness at all; a positive rate is only
-    /// oracle-preserving together with `portfolio`, whose fork races
-    /// mask the injected solver faults.
+    /// Install the chaos harness at rate 0 (must be byte-identical to
+    /// no harness at all).
     pub chaos: bool,
-    /// Fault probability per solver query when `chaos` is set.
-    pub chaos_rate: f64,
-    /// Race diversified solver forks on hard / faulted queries.
-    pub portfolio: bool,
-    /// Cube-split ALL-SAT sessions over the top-k indicators (0 = off).
-    pub cube_split: u32,
-    /// Search-worker budget shared by procedure fan-out and in-query
-    /// parallelism (0 = follow `threads`).
-    pub search_threads: usize,
     /// Emit per-verdict certificates.
     pub certify: bool,
 }
@@ -63,10 +52,6 @@ pub const BASE_LEG: RunLeg = RunLeg {
     query_cache: true,
     threads: 1,
     chaos: false,
-    chaos_rate: 0.0,
-    portfolio: false,
-    cube_split: 0,
-    search_threads: 0,
     certify: true,
 };
 
@@ -77,10 +62,6 @@ pub const DIFF_LEGS: &[RunLeg] = &[
         query_cache: false,
         threads: 1,
         chaos: false,
-        chaos_rate: 0.0,
-        portfolio: false,
-        cube_split: 0,
-        search_threads: 0,
         certify: false,
     },
     RunLeg {
@@ -88,10 +69,6 @@ pub const DIFF_LEGS: &[RunLeg] = &[
         query_cache: true,
         threads: 4,
         chaos: false,
-        chaos_rate: 0.0,
-        portfolio: false,
-        cube_split: 0,
-        search_threads: 0,
         certify: false,
     },
     RunLeg {
@@ -99,41 +76,6 @@ pub const DIFF_LEGS: &[RunLeg] = &[
         query_cache: true,
         threads: 1,
         chaos: true,
-        chaos_rate: 0.0,
-        portfolio: false,
-        cube_split: 0,
-        search_threads: 0,
-        certify: false,
-    },
-    // Parallel search: portfolio racing plus cube-split ALL-SAT at a
-    // 4-worker search budget must replay the sequential plan exactly.
-    RunLeg {
-        label: "cube-2",
-        query_cache: true,
-        threads: 1,
-        chaos: false,
-        chaos_rate: 0.0,
-        portfolio: true,
-        cube_split: 2,
-        search_threads: 4,
-        certify: false,
-    },
-    // Parallel search under fire: the chaos harness injects real
-    // fail-stop faults, but with portfolio racing on they poison the
-    // primary attempt and are answered by the fork race instead, so the
-    // oracle must still match the base leg byte for byte. Cube
-    // splitting stays off here — cube workers draw their own fault
-    // streams, and a cube-local fault has no redundant lane to hide
-    // behind.
-    RunLeg {
-        label: "portfolio-chaos",
-        query_cache: true,
-        threads: 1,
-        chaos: true,
-        chaos_rate: 0.02,
-        portfolio: true,
-        cube_split: 0,
-        search_threads: 4,
         certify: false,
     },
 ];
@@ -178,16 +120,13 @@ pub fn run_leg_with_store(program: &Program, leg: &RunLeg, store: Option<&StoreS
     let mut opts = AcspecOptions::default();
     opts.analyzer.conflict_budget = Some(400_000);
     opts.analyzer.query_cache = leg.query_cache;
-    opts.analyzer.chaos = leg.chaos.then(|| ChaosConfig::new(42, leg.chaos_rate));
-    opts.analyzer.portfolio = leg.portfolio;
-    opts.analyzer.cube_split = leg.cube_split;
+    opts.analyzer.chaos = leg.chaos.then(|| ChaosConfig::new(42, 0.0));
     let mut totals = StageTotals::default();
     let t0 = Instant::now();
     let outcomes = ProgramAnalysis::new(program)
         .options(opts)
         .configs(CONFIGS)
         .threads(leg.threads)
-        .search_threads(leg.search_threads)
         .certify(leg.certify)
         .store(store)
         .run(&mut totals);

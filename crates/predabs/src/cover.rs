@@ -92,44 +92,6 @@ pub fn predicate_cover_salvaging(
         })
         .collect();
 
-    // Cube-and-conquer path: split the indicator space into disjoint
-    // cubes and enumerate them on parallel workers. Full cubes
-    // partition the model space and the merged vectors are sorted and
-    // deduped below just like the sequential enumeration's, so the
-    // final cover (and every certificate rebuilt from it) is
-    // bit-identical to the sequential session's.
-    if az.cube_split() > 0 {
-        let (vectors, err) = az.cube_all_failures(&[], &indicators, max_clauses);
-        let mut clauses: Vec<QClause> = vectors
-            .into_iter()
-            .map(|vector| {
-                vector
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, positive)| QLit { pred: i, positive }.negated())
-                    .collect::<QClause>()
-            })
-            .collect();
-        if let Some(t) = err {
-            let mut partial = std::mem::take(&mut clauses);
-            partial.sort();
-            partial.dedup();
-            *salvage = Some(Cover {
-                preds: q.to_vec(),
-                clauses: partial,
-                indicators,
-            });
-            return Err(t);
-        }
-        clauses.sort();
-        clauses.dedup();
-        return Ok(Cover {
-            preds: q.to_vec(),
-            clauses,
-            indicators,
-        });
-    }
-
     // Session literal scoping the blocking clauses.
     let session = az.ctx.fresh_bool_var("allsat");
     let not_session = az.ctx.mk_not(session);
@@ -314,49 +276,6 @@ mod tests {
         let (_, mut az, q) = setup("procedure f(x: int) { assert x != 0; }");
         let _ = predicate_cover(&mut az, &q).expect("in budget");
         assert_eq!(az.fail_set(&[]).expect("ok").len(), 1);
-    }
-
-    #[test]
-    fn cube_cover_is_bit_identical_to_sequential() {
-        // The same procedure covered sequentially and with every cube
-        // split depth: clause lists (and hence certificates) must be
-        // bit-identical, and salvage-free runs must agree on Ok.
-        let src = "procedure f(x: int, y: int, z: int) {
-                     assert x != 0;
-                     assert y != 0;
-                     assert z != 0;
-                   }";
-        let (d, mut az_seq, q) = setup(src);
-        let seq = predicate_cover(&mut az_seq, &q).expect("in budget");
-        for split in [1u32, 2, 3, 5] {
-            let config = AnalyzerConfig {
-                cube_split: split,
-                ..AnalyzerConfig::default()
-            };
-            let mut az = ProcAnalyzer::new(&d, config).expect("encodes");
-            let cover = predicate_cover(&mut az, &q).expect("in budget");
-            assert_eq!(
-                format!("{:?}", cover.clauses),
-                format!("{:?}", seq.clauses),
-                "cube_split={split} diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn cube_cover_with_empty_q_matches_sequential() {
-        let (_, mut az, _) = setup("procedure f(x: int) { assert x != 0; }");
-        let (d2, _, _) = setup("procedure f(x: int) { assert x != 0; }");
-        let config = AnalyzerConfig {
-            cube_split: 2,
-            ..AnalyzerConfig::default()
-        };
-        let mut az_cube = ProcAnalyzer::new(&d2, config).expect("encodes");
-        let seq = predicate_cover(&mut az, &[]).expect("in budget");
-        let cube = predicate_cover(&mut az_cube, &[]).expect("in budget");
-        assert_eq!(format!("{:?}", cube.clauses), format!("{:?}", seq.clauses));
-        assert_eq!(cube.clauses.len(), 1);
-        assert!(cube.clauses[0].is_empty());
     }
 
     #[test]

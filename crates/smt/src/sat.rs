@@ -7,20 +7,6 @@
 //! full model produced here and respond with conflict or lemma clauses.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// One splitmix64 step: advances the state and returns a well-mixed
-/// 64-bit output. Used to derive fork diversification (activity jitter,
-/// phase flips, restart-base perturbation) deterministically from a
-/// seed, so a fork's search depends only on `(parent state, seed)`.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A boolean variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,9 +136,8 @@ pub const LBD_BUCKET_BOUNDS: [u64; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
 
 /// Upper bucket bounds for conflicts-per-restart-interval histograms
 /// (one extra overflow slot follows the last bound). Intervals follow
-/// the Luby schedule scaled by the solver's restart base (default
-/// [`Sat::DEFAULT_RESTART_BASE`]), so mass in the high buckets means
-/// long unproductive dives between restarts.
+/// the Luby schedule scaled by [`Sat::DEFAULT_RESTART_BASE`], so mass
+/// in the high buckets means long unproductive dives between restarts.
 pub const RESTART_BUCKET_BOUNDS: [u64; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
 
 /// Per-query summary of CDCL search effort (see [`Sat::enable_search`]).
@@ -226,7 +211,8 @@ impl SearchSummary {
 /// observer folds them into a running [`SearchSummary`]. Per-event data
 /// is aggregated, never stored, so memory stays constant on
 /// benchmark-scale runs. When not installed the solve loop pays one
-/// `Option` discriminant check per conflict/decision/restart.
+/// `Option` discriminant check per conflict/decision/restart and skips
+/// the LBD computation entirely.
 #[derive(Debug, Clone, Default)]
 pub struct SearchObserver {
     summary: SearchSummary,
@@ -278,59 +264,12 @@ impl SearchObserver {
     }
 }
 
-/// Cooperative cancellation for portfolio racing (see [`Sat::fork`]).
-///
-/// A group of `k` tokens shares one atomic cell holding the lowest fork
-/// index that has reached a decisive answer (`usize::MAX` until then).
-/// A fork aborts — at propagation boundaries only — when a *lower*
-/// index has decided; lower-index forks never abort on account of
-/// higher ones. Consequently forks `0..=winner` always run to their
-/// conflict quantum or their decisive answer regardless of scheduling,
-/// which is what makes merged counters deterministic.
-#[derive(Debug, Clone)]
-pub struct CancelToken {
-    cell: Arc<AtomicUsize>,
-    index: usize,
-}
-
-impl CancelToken {
-    /// A fresh group of `k` tokens (indices `0..k`) sharing one cell.
-    pub fn group(k: usize) -> Vec<CancelToken> {
-        let cell = Arc::new(AtomicUsize::new(usize::MAX));
-        (0..k)
-            .map(|index| CancelToken {
-                cell: Arc::clone(&cell),
-                index,
-            })
-            .collect()
-    }
-
-    /// Records that this fork reached a decisive answer. The cell keeps
-    /// the minimum index, so the winner is schedule-independent.
-    pub fn decided(&self) {
-        self.cell.fetch_min(self.index, Ordering::SeqCst);
-    }
-
-    /// True when a strictly lower-indexed fork has already decided.
-    pub fn cancelled(&self) -> bool {
-        self.cell.load(Ordering::Relaxed) < self.index
-    }
-
-    /// The winning fork index, if any fork has decided yet.
-    pub fn winner(&self) -> Option<usize> {
-        let w = self.cell.load(Ordering::SeqCst);
-        (w != usize::MAX).then_some(w)
-    }
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Clause {
     lits: Vec<Lit>,
     learnt: bool,
     deleted: bool,
     activity: f64,
-    /// Literal block distance at learn time (0 for input clauses).
-    lbd: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -340,7 +279,7 @@ struct Watcher {
 }
 
 /// Indexed max-heap over variable activities.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct VarOrder {
     heap: Vec<Var>,
     pos: Vec<i32>, // -1 if absent
@@ -429,7 +368,7 @@ impl VarOrder {
 }
 
 /// The CDCL solver.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Sat {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watcher>>,
@@ -453,11 +392,6 @@ pub struct Sat {
     proof: Option<Vec<ProofEvent>>,
     /// Search instrumentation (`None` = disabled, the default).
     search: Option<SearchObserver>,
-    /// Portfolio cancellation token (`None` = never cancelled).
-    cancel: Option<CancelToken>,
-    /// Luby restart scale: restart interval `i` spans
-    /// `luby(i) * restart_base` conflicts.
-    restart_base: u64,
     /// Assumption subset responsible for the last `Unsat` answer
     /// (empty when the clauses alone are unsatisfiable).
     final_core: Vec<Lit>,
@@ -476,7 +410,7 @@ impl Default for Sat {
 }
 
 impl Sat {
-    /// Default Luby restart base interval (conflicts per unit interval).
+    /// Luby restart base interval (conflicts per unit interval).
     ///
     /// Chosen against the bench corpus: the old hardcoded base of 128
     /// never fired at the per-query conflict counts the analyzer
@@ -508,8 +442,6 @@ impl Sat {
             seen: Vec::new(),
             proof: None,
             search: None,
-            cancel: None,
-            restart_base: Sat::DEFAULT_RESTART_BASE,
             final_core: Vec::new(),
             conflicts: 0,
             decisions: 0,
@@ -579,8 +511,8 @@ impl Sat {
     /// (learnt-clause length/LBD), and decision events are folded into a
     /// running [`SearchSummary`]. Off by default; when off, the solve
     /// loop pays only an `Option` discriminant check at each
-    /// conflict/decision/restart, so the search itself (and hence the
-    /// query plan) is unchanged either way.
+    /// conflict/decision/restart and never computes LBDs, so the search
+    /// itself (and hence the query plan) is unchanged either way.
     pub fn enable_search(&mut self) {
         if self.search.is_none() {
             self.search = Some(SearchObserver::default());
@@ -601,7 +533,8 @@ impl Sat {
     }
 
     /// Literal block distance: the number of distinct decision levels
-    /// among the clause's literals.
+    /// among the clause's literals (computed only when search
+    /// instrumentation is on).
     fn lbd_of(&self, lits: &[Lit]) -> u32 {
         let mut levels: Vec<u32> = lits
             .iter()
@@ -617,110 +550,6 @@ impl Sat {
     /// clauses alone are unsatisfiable).
     pub fn unsat_core(&self) -> &[Lit] {
         &self.final_core
-    }
-
-    /// Sets the Luby restart base interval (restart interval `i` spans
-    /// `luby(i) * base` conflicts). `base = 0` is clamped to 1.
-    pub fn set_restart_base(&mut self, base: u64) {
-        self.restart_base = base.max(1);
-    }
-
-    /// The current Luby restart base interval.
-    pub fn restart_base(&self) -> u64 {
-        self.restart_base
-    }
-
-    /// Installs (or clears) the portfolio cancellation token. While a
-    /// token is installed, `solve` returns `Unknown` at the next
-    /// propagation boundary after a lower-indexed fork decides.
-    pub fn set_cancel(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// Current VSIDS activity of a variable (cube-split branching uses
-    /// this to pick the top-k indicator variables).
-    pub fn var_activity(&self, v: Var) -> f64 {
-        self.activity[v.0 as usize]
-    }
-
-    /// Forks the solver for portfolio search: clones the clause
-    /// database, drops learnt clauses with LBD above `lbd_keep`
-    /// (locked and binary clauses are kept), and diversifies the
-    /// search state — VSIDS activities get multiplicative jitter plus a
-    /// small additive tie-breaker, saved phases flip with probability
-    /// 1/8, and the restart base is re-drawn — all deterministically
-    /// from `seed`. Statistics counters restart at zero so the caller
-    /// reads per-fork deltas; proof logging and any cancellation token
-    /// are cleared.
-    #[must_use]
-    pub fn fork(&self, seed: u64, lbd_keep: u32) -> Sat {
-        let mut f = self.clone();
-        f.proof = None;
-        f.cancel = None;
-        f.search = self.search.as_ref().map(|_| SearchObserver::default());
-        f.final_core.clear();
-        f.cancel_until(0);
-        // Trim the learnt database: keep glue (low-LBD) clauses, drop
-        // the rest. Reason clauses of root-level assignments stay.
-        let locked: std::collections::HashSet<usize> = f.reason.iter().flatten().copied().collect();
-        let mut removed = 0;
-        for (i, c) in f.clauses.iter_mut().enumerate() {
-            if c.learnt
-                && !c.deleted
-                && c.lbd > lbd_keep
-                && !locked.contains(&i)
-                && c.lits.len() > 2
-            {
-                c.deleted = true;
-                removed += 1;
-            }
-        }
-        f.n_learnts -= removed;
-        // Diversify deterministically from the seed.
-        let mut state = seed;
-        for a in &mut f.activity {
-            let r = splitmix64(&mut state);
-            let jitter = 0.5 + ((r >> 40) as f64 / (1u64 << 24) as f64);
-            *a = *a * jitter + (r & 0xffff) as f64 * 1e-9;
-        }
-        for p in &mut f.phase {
-            if splitmix64(&mut state).is_multiple_of(8) {
-                *p = !*p;
-            }
-        }
-        const BASES: [u64; 5] = [8, 16, 32, 64, 128];
-        f.restart_base = BASES[(splitmix64(&mut state) % BASES.len() as u64) as usize];
-        f.rebuild_order();
-        f.conflicts = 0;
-        f.decisions = 0;
-        f.propagations = 0;
-        f
-    }
-
-    /// Folds a fork's search summary into this solver's observer (no-op
-    /// when instrumentation is off). Portfolio merging calls this in
-    /// fork-index order so the aggregate is schedule-independent.
-    pub fn merge_search(&mut self, other: &SearchSummary) {
-        if let Some(obs) = &mut self.search {
-            obs.summary.merge(other);
-        }
-    }
-
-    /// Adopts a portfolio winner's assumption core as this solver's
-    /// `unsat_core` (fork literals share the parent's numbering).
-    pub fn adopt_final_core(&mut self, core: Vec<Lit>) {
-        self.final_core = core;
-    }
-
-    /// Rebuilds the VSIDS heap from scratch (after bulk activity edits).
-    fn rebuild_order(&mut self) {
-        self.order = VarOrder::default();
-        self.order.grow(self.assigns.len());
-        for i in 0..self.assigns.len() {
-            if self.assigns[i] == LBool::Undef {
-                self.order.insert(Var(i as u32), &self.activity);
-            }
-        }
     }
 
     /// Adds a clause carrying a caller-side provenance tag for the proof
@@ -811,7 +640,6 @@ impl Sat {
             learnt,
             deleted: false,
             activity: 0.0,
-            lbd: 0,
         });
         cref
     }
@@ -1117,19 +945,11 @@ impl Sat {
         }
         let start_conflicts = self.conflicts;
         let mut restart_num = 1u64;
-        let mut conflicts_until_restart = Sat::luby(restart_num) * self.restart_base;
+        let mut conflicts_until_restart = Sat::luby(restart_num) * Sat::DEFAULT_RESTART_BASE;
 
         loop {
             if let Some(b) = budget {
                 if self.conflicts - start_conflicts > b {
-                    self.cancel_until(0);
-                    return SolveResult::Unknown;
-                }
-            }
-            if let Some(tok) = &self.cancel {
-                // Propagation boundary: the only point a portfolio fork
-                // may abort, and only to a lower-indexed winner.
-                if tok.cancelled() {
                     self.cancel_until(0);
                     return SolveResult::Unknown;
                 }
@@ -1158,11 +978,9 @@ impl Sat {
                         lits: learnt.clone(),
                     });
                 }
-                // LBD needs `level`, so compute before backtracking. It
-                // is stored on the learnt clause (forks trim by it), and
-                // reported to the observer when instrumentation is on.
-                let lbd = self.lbd_of(&learnt);
                 if self.search.is_some() {
+                    // LBD needs `level`, so record before backtracking.
+                    let lbd = self.lbd_of(&learnt);
                     let dl = self.decision_level();
                     if let Some(obs) = &mut self.search {
                         obs.on_conflict(learnt.len(), lbd, dl);
@@ -1181,7 +999,6 @@ impl Sat {
                     }
                 } else {
                     let cref = self.attach_clause(learnt.clone(), true);
-                    self.clauses[cref].lbd = lbd;
                     self.cla_bump(cref);
                     self.unchecked_enqueue(learnt[0], Some(cref));
                 }
@@ -1196,7 +1013,7 @@ impl Sat {
                 if conflicts_until_restart == 0 && self.decision_level() > assumptions.len() as u32
                 {
                     restart_num += 1;
-                    conflicts_until_restart = Sat::luby(restart_num) * self.restart_base;
+                    conflicts_until_restart = Sat::luby(restart_num) * Sat::DEFAULT_RESTART_BASE;
                     if let Some(obs) = &mut self.search {
                         obs.on_restart();
                     }
@@ -1435,14 +1252,12 @@ mod tests {
         s
     }
 
-    /// The default restart base actually fires on conflict-heavy
-    /// queries (the old hardcoded base of 128 never did at analyzer
-    /// conflict counts — satellite of ISSUE 10).
+    /// The restart base actually fires on conflict-heavy queries (a
+    /// base of 128 never did at analyzer conflict counts).
     #[test]
-    fn default_restart_base_restarts_on_hard_instances() {
+    fn luby_restarts_fire_on_hard_instances() {
         let mut s = pigeonhole(6, 5);
         s.enable_search();
-        assert_eq!(s.restart_base(), Sat::DEFAULT_RESTART_BASE);
         assert_eq!(s.solve(&[], None), SolveResult::Unsat);
         let sum = s.take_search_summary().expect("instrumentation on");
         assert!(
@@ -1451,64 +1266,5 @@ mod tests {
             Sat::DEFAULT_RESTART_BASE,
             sum.conflicts
         );
-    }
-
-    /// Forks reach the same verdict as the parent regardless of seed,
-    /// and fork statistics start at zero.
-    #[test]
-    fn forks_agree_with_parent_verdict() {
-        let parent = pigeonhole(5, 4);
-        for seed in [1u64, 42, 0xdead_beef] {
-            let mut f = parent.fork(seed, 3);
-            assert_eq!(f.conflicts, 0);
-            assert_eq!(f.decisions, 0);
-            assert_eq!(f.solve(&[], None), SolveResult::Unsat);
-        }
-        // A satisfiable instance stays satisfiable in every fork.
-        let mut s = Sat::new();
-        let v = lits(&mut s, 6);
-        for i in 0..4 {
-            s.add_clause(&[Lit::pos(v[i]), Lit::neg(v[i + 1]), Lit::pos(v[i + 2])]);
-        }
-        for seed in [7u64, 99] {
-            let mut f = s.fork(seed, 3);
-            assert_eq!(f.solve(&[], None), SolveResult::Sat);
-        }
-    }
-
-    /// Fork trims high-LBD learnt clauses but keeps the parent intact:
-    /// after learning on the parent, a fork with `lbd_keep = 0` drops
-    /// non-binary learnts while the parent still has them.
-    #[test]
-    fn fork_trims_learnt_database() {
-        let mut parent = pigeonhole(5, 4);
-        // Learn under a budget so the instance stays open (ok = true).
-        let _ = parent.solve(&[], Some(20));
-        let parent_learnts = parent.n_learnts;
-        let f = parent.fork(3, 0);
-        assert!(f.n_learnts <= parent_learnts);
-        assert_eq!(parent.n_learnts, parent_learnts, "parent untouched");
-    }
-
-    /// A cancelled token makes `solve` return `Unknown` at the next
-    /// propagation boundary; lower-indexed tokens are unaffected.
-    #[test]
-    fn cancellation_is_asymmetric() {
-        let tokens = CancelToken::group(3);
-        tokens[1].decided();
-        assert_eq!(tokens[0].winner(), Some(1));
-        assert!(!tokens[0].cancelled(), "lower index never aborts");
-        assert!(!tokens[1].cancelled(), "the winner itself never aborts");
-        assert!(tokens[2].cancelled(), "higher index aborts");
-
-        let mut s = pigeonhole(5, 4);
-        s.set_cancel(Some(tokens[2].clone()));
-        assert_eq!(s.solve(&[], None), SolveResult::Unknown);
-        s.set_cancel(None);
-        assert_eq!(s.solve(&[], None), SolveResult::Unsat);
-
-        // `decided` keeps the minimum index.
-        tokens[0].decided();
-        assert_eq!(tokens[2].winner(), Some(0));
     }
 }

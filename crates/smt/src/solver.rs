@@ -9,13 +9,11 @@
 //! theory-consistent or the clauses are unsatisfiable.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::euf::{Euf, Node};
 use crate::lia::{Lia, LiaVar};
-use crate::pool::SearchPool;
 use crate::rat::Rat;
-use crate::sat::{CancelToken, Lit, ProofEvent, Sat, SearchSummary, SolveResult, Var};
+use crate::sat::{Lit, ProofEvent, Sat, SearchSummary, SolveResult, Var};
 use crate::term::{Ctx, Term, TermId, TermSort};
 
 /// Provenance of one clause in the proof log (see
@@ -140,9 +138,6 @@ pub struct SolverConfig {
     pub max_theory_rounds: u64,
     /// Maximum integer branch lemmas per `check` before `Unknown`.
     pub max_branch_lemmas: u64,
-    /// Luby restart base interval for the SAT core (see
-    /// [`Sat::DEFAULT_RESTART_BASE`]).
-    pub restart_base: u64,
 }
 
 impl Default for SolverConfig {
@@ -151,57 +146,13 @@ impl Default for SolverConfig {
             sat_conflict_budget: None,
             max_theory_rounds: 100_000,
             max_branch_lemmas: 2_000,
-            restart_base: Sat::DEFAULT_RESTART_BASE,
         }
     }
-}
-
-/// Tuning knobs for portfolio racing (see [`Solver::check_portfolio`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PortfolioConfig {
-    /// Number of diversified forks raced per escalation round.
-    pub forks: u32,
-    /// Base seed for fork diversification (fork `i` of round `r` draws
-    /// its stream from `seed ⊕ mix(r, i)`, so injection and
-    /// diversification stay schedule-independent).
-    pub seed: u64,
-    /// Conflict quantum of the initial sequential attempt; round `r`
-    /// gives each fork `quantum << r` conflicts.
-    pub quantum: u64,
-    /// Forks keep learnt clauses with LBD ≤ this threshold.
-    pub lbd_keep: u32,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            forks: 4,
-            seed: 0x5eed_u64,
-            quantum: 2_000,
-            lbd_keep: 4,
-        }
-    }
-}
-
-/// What a portfolio check did, for telemetry (`portfolio.*`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortfolioOutcome {
-    /// Escalation rounds run (0 = the sequential attempt decided).
-    pub rounds: u32,
-    /// Winning fork index of the decisive round, if a fork won.
-    pub winner: Option<u32>,
-    /// Counters merged from raced forks, in fork-index order
-    /// (deterministic; already folded into the parent's counters).
-    pub merged: SolverCounters,
 }
 
 /// The SMT solver. Owns the SAT core; borrows the [`Ctx`] per call so
 /// callers can keep building terms between checks.
-///
-/// `Clone` duplicates the whole solver state (clause database, Tseitin
-/// tables, lemma dedup sets) — portfolio forking and cube workers build
-/// on this.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Solver {
     sat: Sat,
     config: SolverConfig,
@@ -247,10 +198,8 @@ impl Solver {
 
     /// Creates a solver with the given configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        let mut sat = Sat::new();
-        sat.set_restart_base(config.restart_base);
         Solver {
-            sat,
+            sat: Sat::new(),
             config,
             lit_of: HashMap::new(),
             atom_of_var: Vec::new(),
@@ -612,205 +561,6 @@ impl Solver {
             propagations: self.sat.propagations,
             theory_conflicts: self.stats.theory_conflicts,
         }
-    }
-
-    /// Current VSIDS activity of a boolean term's SAT variable (0.0 when
-    /// the term has no literal yet). Cube-and-conquer uses this to rank
-    /// indicator variables for splitting.
-    pub fn term_activity(&self, t: TermId) -> f64 {
-        match self.lit_of.get(&t) {
-            Some(l) => self.sat.var_activity(l.var()),
-            None => 0.0,
-        }
-    }
-
-    /// Forks the solver for one portfolio lane: the SAT core is forked
-    /// (clause database cloned, high-LBD learnts dropped, search state
-    /// diversified from `seed` — see [`Sat::fork`]), the Tseitin and
-    /// lemma-dedup tables are cloned, and the fork gets a private
-    /// conflict quantum. Proof logging never crosses the fork.
-    fn fork(&self, seed: u64, lbd_keep: u32, quantum: u64) -> Solver {
-        let mut config = self.config;
-        config.sat_conflict_budget = Some(quantum);
-        let mut sat = self.sat.fork(seed, lbd_keep);
-        if self.sat.search_observer().is_some() {
-            sat.enable_search();
-        }
-        Solver {
-            sat,
-            config,
-            lit_of: self.lit_of.clone(),
-            atom_of_var: self.atom_of_var.clone(),
-            purified: self.purified.clone(),
-            array_lemmas_done: self.array_lemmas_done.clone(),
-            trichotomy_done: self.trichotomy_done.clone(),
-            collision_done: self.collision_done.clone(),
-            branch_done: self.branch_done.clone(),
-            last_model: HashMap::new(),
-            proof_tags: None,
-            stats: SmtStats::default(),
-        }
-    }
-
-    /// Like [`Solver::check`], but races `pcfg.forks` diversified forks
-    /// on hard queries.
-    ///
-    /// The query first runs sequentially under a conflict quantum of
-    /// `pcfg.quantum` — easy queries (the vast majority) never fork and
-    /// behave exactly like a plain budgeted `check`. On `Unknown`, the
-    /// solver runs escalation rounds: each round forks `K` diversified
-    /// copies (seeded from `seed ⊕ mix(round, fork-index)`, never from
-    /// thread identity), races them on spare permits from `pool`
-    /// (inline, in fork-index order, when none are spare), and cancels
-    /// losers via an atomic lowest-decisive-index flag checked at
-    /// propagation boundaries. Because a fork only ever aborts to a
-    /// *lower*-indexed winner, forks `0..=winner` always run to their
-    /// quantum or answer; exactly those forks' counters are merged — in
-    /// fork-index order — into the parent, so counters, the winning
-    /// verdict, and everything downstream (budget charges, reports) are
-    /// independent of thread count and scheduling. The Sat/Unsat verdict
-    /// is seed-independent (any fork's decisive answer is sound);
-    /// `Unknown` arises only from the parent's own budget.
-    ///
-    /// On a `Sat` win the winner's integer witness is copied over
-    /// (restricted to terms existing in the parent context); the parent
-    /// keeps *no* satisfying SAT assignment, so `bool_value` must not be
-    /// consulted after a portfolio check — callers use it on
-    /// verdict-only paths (the analyzer's dominance-cached queries),
-    /// which already never read models.
-    ///
-    /// `poison_primary` treats the parent's own sequential attempt as
-    /// already faulted (the fault-injection harness's "the solver
-    /// mysteriously failed"): the attempt is skipped outright and the
-    /// query escalates straight to the fork race, whose fresh solvers
-    /// answer it. With it the portfolio masks injected solver faults —
-    /// the verdict is the same one the un-faulted run computes.
-    pub fn check_portfolio(
-        &mut self,
-        ctx: &mut Ctx,
-        assumptions: &[TermId],
-        pcfg: PortfolioConfig,
-        pool: &SearchPool,
-        poison_primary: bool,
-    ) -> (SmtResult, PortfolioOutcome) {
-        /// Escalation cap: `quantum << 24` conflicts per fork dwarfs any
-        /// realistic budget, so this bounds only pathological configs.
-        const MAX_PORTFOLIO_ROUNDS: u32 = 24;
-
-        let mut outcome = PortfolioOutcome::default();
-        let orig_budget = self.config.sat_conflict_budget;
-        let first = if poison_primary {
-            SmtResult::Unknown
-        } else {
-            let attempt = Some(match orig_budget {
-                Some(b) => b.min(pcfg.quantum),
-                None => pcfg.quantum,
-            });
-            self.config.sat_conflict_budget = attempt;
-            let r = self.check(ctx, assumptions);
-            self.config.sat_conflict_budget = orig_budget;
-            r
-        };
-        if first != SmtResult::Unknown || pcfg.forks == 0 {
-            return (first, outcome);
-        }
-
-        let k = pcfg.forks as usize;
-        let mut spent = 0u64;
-        for round in 1..=MAX_PORTFOLIO_ROUNDS {
-            if let Some(b) = orig_budget {
-                if spent >= b {
-                    break;
-                }
-            }
-            outcome.rounds = round;
-            let quantum = pcfg.quantum.saturating_mul(1u64 << round);
-            let tokens = CancelToken::group(k);
-            // Fork state lives in per-index cells so any lane can run
-            // any fork; results are merged by index, never by schedule.
-            let cells: Vec<std::sync::Mutex<Option<(Solver, Ctx, SmtResult)>>> = (0..k)
-                .map(|i| {
-                    let seed = pcfg.seed
-                        ^ (u64::from(round) << 32)
-                        ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1);
-                    let mut f = self.fork(seed, pcfg.lbd_keep, quantum);
-                    f.sat.set_cancel(Some(tokens[i].clone()));
-                    std::sync::Mutex::new(Some((f, ctx.clone(), SmtResult::Unknown)))
-                })
-                .collect();
-            let extra = pool.try_take(k.saturating_sub(1));
-            let next = AtomicUsize::new(0);
-            let run_lane = || loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= k {
-                    break;
-                }
-                let (mut solver, mut fctx, _) = cells[i]
-                    .lock()
-                    .expect("lane poisoned")
-                    .take()
-                    .expect("fork present");
-                let r = solver.check(&mut fctx, assumptions);
-                if r != SmtResult::Unknown {
-                    tokens[i].decided();
-                }
-                solver.sat.set_cancel(None);
-                *cells[i].lock().expect("lane poisoned") = Some((solver, fctx, r));
-            };
-            std::thread::scope(|s| {
-                for _ in 0..extra {
-                    s.spawn(run_lane);
-                }
-                run_lane();
-            });
-            pool.give_back(extra);
-
-            let mut finished: Vec<(Solver, Ctx, SmtResult)> = cells
-                .into_iter()
-                .map(|m| m.into_inner().expect("lane poisoned").expect("fork ran"))
-                .collect();
-            let winner = finished
-                .iter()
-                .position(|(_, _, r)| *r != SmtResult::Unknown);
-            let merge_upto = winner.unwrap_or(k - 1);
-            for (f, _, _) in finished.iter_mut().take(merge_upto + 1) {
-                let c = f.counters();
-                outcome.merged.add(&c);
-                spent += c.conflicts;
-                self.sat.conflicts += c.conflicts;
-                self.sat.decisions += c.decisions;
-                self.sat.propagations += c.propagations;
-                self.stats.theory_conflicts += f.stats.theory_conflicts;
-                self.stats.array_lemmas += f.stats.array_lemmas;
-                self.stats.branch_lemmas += f.stats.branch_lemmas;
-                self.stats.combination_lemmas += f.stats.combination_lemmas;
-                if let Some(sum) = f.sat.take_search_summary() {
-                    self.sat.merge_search(&sum);
-                }
-            }
-            if let Some(w) = winner {
-                outcome.winner = Some(w as u32);
-                let (wsolver, _, r) = &finished[w];
-                match r {
-                    SmtResult::Sat => {
-                        let parent_terms = ctx.len() as u32;
-                        self.last_model = wsolver
-                            .last_model
-                            .iter()
-                            .filter(|(t, _)| t.0 < parent_terms)
-                            .map(|(&t, &v)| (t, v))
-                            .collect();
-                    }
-                    SmtResult::Unsat => {
-                        let core = wsolver.sat.unsat_core().to_vec();
-                        self.sat.adopt_final_core(core);
-                    }
-                    SmtResult::Unknown => unreachable!("winner is decisive"),
-                }
-                return (*r, outcome);
-            }
-        }
-        (SmtResult::Unknown, outcome)
     }
 
     fn theory_check(&mut self, ctx: &mut Ctx, branch_budget_used: &mut u64) -> TheoryOutcome {

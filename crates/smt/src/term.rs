@@ -68,11 +68,7 @@ pub enum Term {
 }
 
 /// The term context: hash-consing store and sort table.
-///
-/// `Clone` is cheap enough for portfolio/cube workers: each parallel
-/// search fork snapshots the context so lemma terms created during its
-/// private search never leak into (or renumber) the parent's store.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Ctx {
     terms: Vec<Term>,
     sorts: Vec<TermSort>,

@@ -76,7 +76,6 @@ fn smt_branch_budget_gives_unknown_not_wrong_answer() {
         sat_conflict_budget: None,
         max_theory_rounds: 100_000,
         max_branch_lemmas: 0,
-        ..SolverConfig::default()
     });
     // 2x = 7: rationally feasible, integrally infeasible — needs a split
     // (or would, without tightening; ensure no wrong SAT).

@@ -28,10 +28,7 @@ use acspec_ir::expr::Formula;
 use acspec_ir::locs::{enumerate_locations, LocId};
 use acspec_ir::stmt::{AssertId, BranchCond, Stmt};
 use acspec_ir::Sort;
-use acspec_smt::{
-    Ctx, PortfolioConfig, SearchPool, SearchSummary, SmtResult, Solver, SolverConfig,
-    SolverCounters, TermId,
-};
+use acspec_smt::{Ctx, SearchSummary, SmtResult, Solver, SolverCounters, TermId};
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::chaos::{ChaosConfig, ChaosFault, ChaosSolver, ChaosStats};
@@ -151,21 +148,6 @@ pub struct AnalyzerConfig {
     /// default) runs without the harness. With `Some` and `rate = 0.0`
     /// the analyzer behaves identically to `None`.
     pub chaos: Option<ChaosConfig>,
-    /// Luby restart base interval for every solver this analyzer builds
-    /// (the incremental solver, witness replays, cube workers). Part of
-    /// the options digest: changing it may change witness models.
-    pub restart_base: u64,
-    /// Races diversified solver forks on hard verdict-only queries
-    /// ([`acspec_smt::Solver::check_portfolio`]). Off by default.
-    /// Verdicts, merged counters, and reports are independent of thread
-    /// count and scheduling; only wall time changes with parallelism.
-    pub portfolio: bool,
-    /// Cube-and-conquer split depth for ALL-SAT enumeration: `2^k`
-    /// disjoint cubes over the `k` most active indicator variables, each
-    /// enumerated on its own worker. `0` (the default) keeps the
-    /// sequential session. The merged cover is bit-identical to the
-    /// sequential one.
-    pub cube_split: u32,
 }
 
 impl Default for AnalyzerConfig {
@@ -176,117 +158,7 @@ impl Default for AnalyzerConfig {
                 .map_or(true, |v| v.is_empty() || v == "0"),
             deadline: None,
             chaos: None,
-            restart_base: SolverConfig::default().restart_base,
-            portfolio: false,
-            cube_split: 0,
         }
-    }
-}
-
-/// Upper bound on the cube-split depth (`2^12 = 4096` cubes dwarfs any
-/// useful worker count; deeper splits only multiply replay overhead).
-pub const MAX_CUBE_SPLIT: u32 = 12;
-
-/// Bucket upper bounds (exclusive, microseconds) for the portfolio
-/// win-latency histogram in [`ParallelStats`]; the last bucket is
-/// unbounded.
-pub const WIN_LATENCY_BOUNDS_US: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
-
-/// Monotone counters for the parallel-search machinery (`portfolio.*` /
-/// `cube.*` telemetry). All zero when portfolio and cube splitting are
-/// off, so sinks can gate emission on activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Queries routed through the portfolio path.
-    pub portfolio_queries: u64,
-    /// Portfolio queries that escalated past the sequential attempt.
-    pub portfolio_forked: u64,
-    /// Total escalation rounds across all portfolio queries.
-    pub portfolio_rounds: u64,
-    /// Portfolio queries decided by a raced fork.
-    pub portfolio_wins: u64,
-    /// Injected solver faults masked by the race: the poisoned primary
-    /// was skipped and a fork answered the query anyway.
-    pub portfolio_rescues: u64,
-    /// Total wall-clock microseconds of fork-decided queries.
-    pub portfolio_win_micros: u64,
-    /// Win-latency histogram over [`WIN_LATENCY_BOUNDS_US`] (six
-    /// buckets; the last is unbounded).
-    pub portfolio_win_latency: [u64; 6],
-    /// Cube-split ALL-SAT sessions run.
-    pub cube_sessions: u64,
-    /// Cube workers launched (one per cube).
-    pub cube_workers: u64,
-    /// Models enumerated by cube workers (after merging).
-    pub cube_models: u64,
-}
-
-impl ParallelStats {
-    /// True when nothing parallel happened (sinks skip emission).
-    pub fn is_zero(&self) -> bool {
-        *self == ParallelStats::default()
-    }
-
-    /// Folds another snapshot into this one (histograms add bucketwise).
-    pub fn add(&mut self, other: &ParallelStats) {
-        self.portfolio_queries += other.portfolio_queries;
-        self.portfolio_forked += other.portfolio_forked;
-        self.portfolio_rounds += other.portfolio_rounds;
-        self.portfolio_wins += other.portfolio_wins;
-        self.portfolio_rescues += other.portfolio_rescues;
-        self.portfolio_win_micros += other.portfolio_win_micros;
-        for (a, b) in self
-            .portfolio_win_latency
-            .iter_mut()
-            .zip(other.portfolio_win_latency)
-        {
-            *a += b;
-        }
-        self.cube_sessions += other.cube_sessions;
-        self.cube_workers += other.cube_workers;
-        self.cube_models += other.cube_models;
-    }
-
-    /// The per-window delta `self - earlier` (saturating; counters are
-    /// monotone).
-    pub fn since(&self, earlier: &ParallelStats) -> ParallelStats {
-        let mut hist = [0u64; 6];
-        for (i, h) in hist.iter_mut().enumerate() {
-            *h = self.portfolio_win_latency[i].saturating_sub(earlier.portfolio_win_latency[i]);
-        }
-        ParallelStats {
-            portfolio_queries: self
-                .portfolio_queries
-                .saturating_sub(earlier.portfolio_queries),
-            portfolio_forked: self
-                .portfolio_forked
-                .saturating_sub(earlier.portfolio_forked),
-            portfolio_rounds: self
-                .portfolio_rounds
-                .saturating_sub(earlier.portfolio_rounds),
-            portfolio_wins: self.portfolio_wins.saturating_sub(earlier.portfolio_wins),
-            portfolio_rescues: self
-                .portfolio_rescues
-                .saturating_sub(earlier.portfolio_rescues),
-            portfolio_win_micros: self
-                .portfolio_win_micros
-                .saturating_sub(earlier.portfolio_win_micros),
-            portfolio_win_latency: hist,
-            cube_sessions: self.cube_sessions.saturating_sub(earlier.cube_sessions),
-            cube_workers: self.cube_workers.saturating_sub(earlier.cube_workers),
-            cube_models: self.cube_models.saturating_sub(earlier.cube_models),
-        }
-    }
-
-    fn record_win(&mut self, seconds: f64) {
-        self.portfolio_wins += 1;
-        let micros = (seconds * 1e6) as u64;
-        self.portfolio_win_micros += micros;
-        let bucket = WIN_LATENCY_BOUNDS_US
-            .iter()
-            .position(|&b| micros < b)
-            .unwrap_or(WIN_LATENCY_BOUNDS_US.len());
-        self.portfolio_win_latency[bucket] += 1;
     }
 }
 
@@ -371,37 +243,6 @@ pub struct ProcAnalyzer {
     /// and query counters, so enabling it never perturbs reported
     /// results.
     certs: Option<CertStore>,
-    /// The solver configuration every fresh replay solver (witness
-    /// queries, cube workers) is built with, so they search exactly
-    /// like the incremental solver.
-    solver_config: SolverConfig,
-    /// Portfolio racing config (`None` when off).
-    portfolio: Option<PortfolioConfig>,
-    /// Cube-and-conquer split depth (0 = sequential ALL-SAT).
-    cube_split: u32,
-    /// The chaos configuration as given (fork streams for cube workers
-    /// derive from its seed, not from the advanced main stream).
-    chaos_cfg: Option<ChaosConfig>,
-    /// Shared worker-permit pool: procedure-level and query-level
-    /// parallelism draw from one budget. Defaults to an empty private
-    /// pool (every parallel construct runs inline on the caller).
-    pool: std::sync::Arc<SearchPool>,
-    /// Parallel-search telemetry counters.
-    parallel: ParallelStats,
-}
-
-/// What one cube worker brought back, merged in cube-index order.
-struct CubeOut {
-    /// Indicator truth vectors, one per enumerated model.
-    models: Vec<Vec<bool>>,
-    /// Per-query log entries (outcome, seconds, counter deltas, search).
-    records: Vec<(QueryOutcome, f64, SolverCounters, Option<SearchSummary>)>,
-    /// Conflicts spent by the worker's solver (charged to the budget).
-    conflicts: u64,
-    /// Worker wall-clock seconds (stage accounting).
-    seconds: f64,
-    /// Why the worker stopped early, if it did.
-    gave_up: Option<FaultReason>,
 }
 
 struct EncodeState {
@@ -427,11 +268,7 @@ impl ProcAnalyzer {
     ) -> Result<ProcAnalyzer, TranslateError> {
         let encode_start = std::time::Instant::now();
         let mut ctx = Ctx::new();
-        let solver_config = SolverConfig {
-            restart_base: config.restart_base.max(1),
-            ..SolverConfig::default()
-        };
-        let mut solver = Solver::with_config(solver_config);
+        let mut solver = Solver::new();
 
         // Initial incarnations: every named variable (params, returns,
         // locals, globals) is an unconstrained symbol; ν-constants too.
@@ -522,38 +359,7 @@ impl ProcAnalyzer {
             arena: TermArena::new(),
             xlate_memo: std::collections::HashMap::new(),
             certs: None,
-            solver_config,
-            portfolio: config.portfolio.then(PortfolioConfig::default),
-            cube_split: config.cube_split.min(MAX_CUBE_SPLIT),
-            chaos_cfg: config.chaos,
-            pool: std::sync::Arc::new(SearchPool::new(0)),
-            parallel: ParallelStats::default(),
         })
-    }
-
-    /// Installs the shared worker-permit pool ([`SearchPool`]): spare
-    /// threads for portfolio races and cube workers come from here, so
-    /// procedure-level and query-level parallelism share one budget.
-    /// Results never depend on how many permits are available.
-    pub fn set_pool(&mut self, pool: std::sync::Arc<SearchPool>) {
-        self.pool = pool;
-    }
-
-    /// Whether portfolio racing is enabled for hard verdict-only
-    /// queries.
-    pub fn portfolio_enabled(&self) -> bool {
-        self.portfolio.is_some()
-    }
-
-    /// The configured cube-and-conquer split depth (0 = sequential
-    /// ALL-SAT enumeration).
-    pub fn cube_split(&self) -> u32 {
-        self.cube_split
-    }
-
-    /// The parallel-search telemetry counters accumulated so far.
-    pub fn parallel_stats(&self) -> ParallelStats {
-        self.parallel
     }
 
     /// Whether the monotone dominance cache is enabled.
@@ -712,24 +518,9 @@ impl ProcAnalyzer {
         if let Some(chaos) = &mut self.chaos {
             match chaos.next_fault() {
                 None => {}
-                // Fail-stop faults (a lost verdict, a crashed engine)
-                // are absorbed when portfolio racing is on: the solver
-                // pool is redundant, so the query is simply retried on
-                // a surviving lane — here, deterministically, by
-                // proceeding. Without redundancy they stop the query.
-                Some(ChaosFault::Unknown) => {
-                    if self.portfolio.is_some() {
-                        self.parallel.portfolio_rescues += 1;
-                    } else {
-                        return Err(self.give_up(FaultReason::Chaos));
-                    }
-                }
+                Some(ChaosFault::Unknown) => return Err(self.give_up(FaultReason::Chaos)),
                 Some(ChaosFault::Panic) => {
-                    if self.portfolio.is_some() {
-                        self.parallel.portfolio_rescues += 1;
-                    } else {
-                        panic!("chaos: injected panic before query {}", self.queries)
-                    }
+                    panic!("chaos: injected panic before query {}", self.queries)
                 }
                 Some(ChaosFault::BudgetBlowup) => {
                     // Simulate one pathological query burning (at least)
@@ -971,7 +762,7 @@ impl ProcAnalyzer {
         if stall {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        let mut solver = Solver::with_config(self.solver_config);
+        let mut solver = Solver::new();
         if self.record_search {
             // Fresh solver per witness query: install the observer so
             // witness queries report search summaries like any other.
@@ -1031,7 +822,7 @@ impl ProcAnalyzer {
     /// callers go straight to [`ProcAnalyzer::check`].
     fn check_cached(&mut self, assumptions: &[TermId]) -> Result<bool, Timeout> {
         let key = match &mut self.cache {
-            None => return self.check_verdict(assumptions),
+            None => return self.check(assumptions),
             Some(cache) => {
                 let key = QueryCache::canonical(assumptions);
                 if let Some(answer) = cache.lookup(&key) {
@@ -1040,105 +831,11 @@ impl ProcAnalyzer {
                 key
             }
         };
-        let answer = self.check_verdict(assumptions)?;
+        let answer = self.check(assumptions)?;
         if let Some(cache) = &mut self.cache {
             cache.insert(key, answer);
         }
         Ok(answer)
-    }
-
-    /// Solves a verdict-only query: the portfolio path when racing is
-    /// enabled, the plain incremental [`ProcAnalyzer::check`] otherwise.
-    /// Only reachable from [`ProcAnalyzer::check_cached`] — callers of
-    /// this path never read models afterwards (cache hits also return
-    /// without one), which is exactly the contract
-    /// [`Solver::check_portfolio`] needs.
-    fn check_verdict(&mut self, assumptions: &[TermId]) -> Result<bool, Timeout> {
-        let Some(pcfg) = self.portfolio else {
-            return self.check(assumptions);
-        };
-        // Inline fault gate: same checks and the same chaos-stream draw
-        // as [`ProcAnalyzer::pre_query_gate`], but an injected fail-stop
-        // fault (`Unknown`, `Panic`) poisons the primary attempt instead
-        // of giving the query up or crashing — the fork race answers it,
-        // so the verdict (and everything downstream) matches the
-        // un-faulted run.
-        if self.budget.exhausted() {
-            self.last_fault = FaultReason::Conflicts;
-            return Err(Timeout);
-        }
-        if self.deadline.exceeded() {
-            return Err(self.give_up(FaultReason::Deadline));
-        }
-        let mut stall = false;
-        let mut poisoned = false;
-        if let Some(chaos) = &mut self.chaos {
-            match chaos.next_fault() {
-                None => {}
-                Some(ChaosFault::Unknown | ChaosFault::Panic) => poisoned = true,
-                Some(ChaosFault::BudgetBlowup) => {
-                    if let Some(left) = self.budget.left() {
-                        self.budget.charge((left / 2).max(1_000));
-                    }
-                    if self.budget.exhausted() {
-                        self.last_fault = FaultReason::Chaos;
-                        return Err(Timeout);
-                    }
-                }
-                Some(ChaosFault::Latency) => stall = true,
-            }
-        }
-        self.queries += 1;
-        let start = std::time::Instant::now();
-        if stall {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        let before = self.solver.counters();
-        self.solver.set_sat_budget(self.budget.left());
-        let pool = self.pool.clone();
-        let (result, outcome) =
-            self.solver
-                .check_portfolio(&mut self.ctx, assumptions, pcfg, &pool, poisoned);
-        let spent = self.solver.conflicts() - before.conflicts;
-        self.budget.charge(spent);
-        let seconds = start.elapsed().as_secs_f64();
-        self.stages.record(self.stage, seconds, 1);
-        let search = self.solver.take_search_summary();
-        self.parallel.portfolio_queries += 1;
-        if outcome.rounds > 0 {
-            self.parallel.portfolio_forked += 1;
-            self.parallel.portfolio_rounds += u64::from(outcome.rounds);
-        }
-        if outcome.winner.is_some() {
-            self.parallel.record_win(seconds);
-            if poisoned {
-                self.parallel.portfolio_rescues += 1;
-            }
-        }
-        if self.record_queries {
-            self.query_log.push(QueryRecord {
-                stage: self.stage,
-                seq: (self.queries - 1) as u32,
-                outcome: match result {
-                    SmtResult::Sat => QueryOutcome::Sat,
-                    SmtResult::Unsat => QueryOutcome::Unsat,
-                    SmtResult::Unknown => QueryOutcome::Unknown {
-                        reason: FaultReason::Conflicts,
-                    },
-                },
-                seconds,
-                counters: self.solver.counters().since(&before),
-                search,
-            });
-        }
-        match result {
-            SmtResult::Sat => Ok(true),
-            SmtResult::Unsat => Ok(false),
-            SmtResult::Unknown => {
-                self.last_fault = FaultReason::Conflicts;
-                Err(Timeout)
-            }
-        }
     }
 
     fn check(&mut self, assumptions: &[TermId]) -> Result<bool, Timeout> {
@@ -1450,252 +1147,6 @@ impl ProcAnalyzer {
             }
         }
         Ok(profiles)
-    }
-
-    /// Cube-and-conquer ALL-SAT over `indicators` (§4.1's predicate
-    /// cover, parallel edition): the indicator space is split into
-    /// `2^k` disjoint cubes over the `k` most active indicator
-    /// variables (`k` = the configured [`AnalyzerConfig::cube_split`],
-    /// clamped to the indicator count), and each cube enumerates the
-    /// models of `active ∧ fail_any ∧ cube` on its own fresh replay of
-    /// the base assertion stream with cube-local blocking clauses.
-    ///
-    /// Returns the indicator truth vectors of every model, merged in
-    /// cube-index order, plus `Some(Timeout)` when a cube gave up or
-    /// the model cap was hit — the vectors gathered up to that point
-    /// are the salvage, exactly like the sequential session's partial
-    /// cover.
-    ///
-    /// Determinism: each worker is a pure function of the encoding,
-    /// its cube index, and the budget snapshot taken before the fan-out
-    /// (fresh solver, per-cube chaos stream forked from the *original*
-    /// seed via [`ChaosConfig::for_fork`]); the merge order is the cube
-    /// index. Worker placement (spare pool permits vs. inline) affects
-    /// wall time only. Since full cubes partition the model space, the
-    /// merged model *set* equals the sequential enumeration's, so a
-    /// sorted cover built from it is bit-identical to the sequential
-    /// one.
-    ///
-    /// The incremental solver is never touched: no session literal, no
-    /// blocking clauses, no cache invalidation. (Sequential blocking
-    /// clauses are ¬session-guarded and thus inert afterwards anyway;
-    /// skipping the conservative cache flush only saves re-solving.)
-    pub fn cube_all_failures(
-        &mut self,
-        active: &[Selector],
-        indicators: &[TermId],
-        cap: usize,
-    ) -> (Vec<Vec<bool>>, Option<Timeout>) {
-        // One main-stream fault gate covers the whole session; workers
-        // draw faults from per-cube forked streams.
-        match self.pre_query_gate() {
-            Ok(stall) => {
-                if stall {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-            }
-            Err(t) => return (Vec::new(), Some(t)),
-        }
-
-        // Branch variables: the k most active indicators by the
-        // incremental solver's VSIDS ranking — a deterministic function
-        // of the query history — ties broken by indicator index.
-        let k = (self.cube_split.min(MAX_CUBE_SPLIT) as usize).min(indicators.len());
-        let mut ranked: Vec<usize> = (0..indicators.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            self.solver
-                .term_activity(indicators[b])
-                .partial_cmp(&self.solver.term_activity(indicators[a]))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let branch: Vec<usize> = ranked.into_iter().take(k).collect();
-        let ncubes = 1usize << k;
-
-        let mut assumptions_base: Vec<TermId> = active.iter().map(|s| s.0).collect();
-        assumptions_base.push(self.fail_any);
-        let base = &self.base_asserts;
-        let budget_left = self.budget.left();
-        let record_search = self.record_search;
-        let solver_config = self.solver_config;
-        let chaos_cfgs: Vec<Option<ChaosConfig>> = (0..ncubes)
-            .map(|c| self.chaos_cfg.map(|cc| cc.for_fork(c as u64)))
-            .collect();
-
-        // Race-runner: per-cube input/output cells so any lane can run
-        // any cube; results are merged by cube index, never by
-        // schedule.
-        let inputs: Vec<std::sync::Mutex<Option<Ctx>>> = (0..ncubes)
-            .map(|_| std::sync::Mutex::new(Some(self.ctx.clone())))
-            .collect();
-        let outputs: Vec<std::sync::Mutex<Option<CubeOut>>> =
-            (0..ncubes).map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let run_lane = || loop {
-            let c = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            if c >= ncubes {
-                break;
-            }
-            let mut wctx = inputs[c]
-                .lock()
-                .expect("cube lane poisoned")
-                .take()
-                .expect("cube context present");
-            let wstart = std::time::Instant::now();
-            let mut chaos = chaos_cfgs[c].map(ChaosSolver::new);
-            let mut solver = Solver::with_config(solver_config);
-            if record_search {
-                solver.enable_search();
-            }
-            for &t in base {
-                solver.assert_term(&mut wctx, t);
-            }
-            let mut assumptions = assumptions_base.clone();
-            for (j, &bi) in branch.iter().enumerate() {
-                let b = indicators[bi];
-                assumptions.push(if (c >> j) & 1 == 1 { b } else { wctx.mk_not(b) });
-            }
-            let mut local_budget = budget_left;
-            let mut out = CubeOut {
-                models: Vec::new(),
-                records: Vec::new(),
-                conflicts: 0,
-                seconds: 0.0,
-                gave_up: None,
-            };
-            loop {
-                if out.models.len() >= cap {
-                    out.gave_up = Some(FaultReason::Cap);
-                    break;
-                }
-                let mut stall = false;
-                if let Some(ch) = &mut chaos {
-                    match ch.next_fault() {
-                        None => {}
-                        Some(ChaosFault::Unknown) => {
-                            out.gave_up = Some(FaultReason::Chaos);
-                            break;
-                        }
-                        Some(ChaosFault::Panic) => {
-                            panic!("chaos: injected panic in cube worker {c}")
-                        }
-                        Some(ChaosFault::BudgetBlowup) => {
-                            if let Some(left) = local_budget {
-                                local_budget = Some(left.saturating_sub((left / 2).max(1_000)));
-                            }
-                        }
-                        Some(ChaosFault::Latency) => stall = true,
-                    }
-                }
-                if stall {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                let before = solver.counters();
-                let qstart = std::time::Instant::now();
-                solver.set_sat_budget(local_budget);
-                let result = solver.check(&mut wctx, &assumptions);
-                let qsecs = qstart.elapsed().as_secs_f64();
-                let delta = solver.counters().since(&before);
-                if let Some(left) = local_budget {
-                    local_budget = Some(left.saturating_sub(delta.conflicts));
-                }
-                let search = solver.take_search_summary();
-                out.records.push((
-                    match result {
-                        SmtResult::Sat => QueryOutcome::Sat,
-                        SmtResult::Unsat => QueryOutcome::Unsat,
-                        SmtResult::Unknown => QueryOutcome::Unknown {
-                            reason: FaultReason::Conflicts,
-                        },
-                    },
-                    qsecs,
-                    delta,
-                    search,
-                ));
-                match result {
-                    SmtResult::Sat => {}
-                    SmtResult::Unsat => break,
-                    SmtResult::Unknown => {
-                        out.gave_up = Some(FaultReason::Conflicts);
-                        break;
-                    }
-                }
-                let mut vector = Vec::with_capacity(indicators.len());
-                let mut blocking = Vec::with_capacity(indicators.len());
-                for &b in indicators {
-                    let v = solver.bool_value(b).expect("indicator assigned in model");
-                    vector.push(v);
-                    blocking.push(if v { wctx.mk_not(b) } else { b });
-                }
-                out.models.push(vector);
-                if indicators.is_empty() {
-                    // The empty cube blocks everything (Q = {}).
-                    break;
-                }
-                solver.add_clause_terms(&mut wctx, &blocking);
-            }
-            out.conflicts = solver.conflicts();
-            out.seconds = wstart.elapsed().as_secs_f64();
-            *outputs[c].lock().expect("cube lane poisoned") = Some(out);
-        };
-        let pool = self.pool.clone();
-        let extra = pool.try_take(ncubes - 1);
-        std::thread::scope(|s| {
-            for _ in 0..extra {
-                s.spawn(run_lane);
-            }
-            run_lane();
-        });
-        pool.give_back(extra);
-
-        // Deterministic merge in cube-index order: budget charges,
-        // query numbering, stage accounting, and the model list are all
-        // independent of which lane ran which cube.
-        self.parallel.cube_sessions += 1;
-        self.parallel.cube_workers += ncubes as u64;
-        let mut models: Vec<Vec<bool>> = Vec::new();
-        let mut err: Option<Timeout> = None;
-        for cell in outputs {
-            let out = cell
-                .into_inner()
-                .expect("cube lane poisoned")
-                .expect("cube ran");
-            self.budget.charge(out.conflicts);
-            self.stages
-                .record(self.stage, out.seconds, out.records.len() as u64);
-            for (outcome, qsecs, counters, search) in out.records {
-                self.queries += 1;
-                if self.record_queries {
-                    self.query_log.push(QueryRecord {
-                        stage: self.stage,
-                        seq: (self.queries - 1) as u32,
-                        outcome,
-                        seconds: qsecs,
-                        counters,
-                        search,
-                    });
-                }
-            }
-            models.extend(out.models);
-            if models.len() >= cap {
-                models.truncate(cap);
-                self.note_cap_fault();
-                err = Some(Timeout);
-                break;
-            }
-            if let Some(reason) = out.gave_up {
-                self.last_fault = reason;
-                err = Some(Timeout);
-                break;
-            }
-            if self.budget.exhausted() {
-                self.last_fault = FaultReason::Conflicts;
-                err = Some(Timeout);
-                break;
-            }
-        }
-        self.parallel.cube_models += models.len() as u64;
-        (models, err)
     }
 }
 

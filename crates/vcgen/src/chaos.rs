@@ -69,19 +69,6 @@ impl ChaosConfig {
             rate: self.rate,
         }
     }
-
-    /// Derives the per-fork configuration for parallel search workers
-    /// (portfolio forks, cube-and-conquer lanes): same rate, seed mixed
-    /// with the fork index. Each worker owns an independent stream that
-    /// is a pure function of `(parent seed, index)`, so injection stays
-    /// schedule-independent no matter which thread runs which fork.
-    pub fn for_fork(&self, index: u64) -> ChaosConfig {
-        let mut state = self.seed ^ index;
-        ChaosConfig {
-            seed: splitmix64(&mut state),
-            rate: self.rate,
-        }
-    }
 }
 
 /// A fault drawn from the chaos stream.

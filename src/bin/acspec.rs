@@ -25,14 +25,6 @@
 //!                              with zero solver queries (corrupt entries
 //!                              are quarantined and recomputed)
 //!   --no-store                 ignore --store-dir (cold run)
-//!   --search-threads <n>       worker budget shared by procedure
-//!                              fan-out and in-query parallelism
-//!                              (results are byte-identical at any n)
-//!   --portfolio                race diversified solver forks on hard
-//!                              verdict queries (deterministic merge)
-//!   --cube-split <k>           cube-and-conquer ALL-SAT over 2^k cubes
-//!                              for predicate covers
-//!   --restart-base <n>         CDCL Luby restart base interval
 //! ```
 //!
 //! `.c` inputs go through the HAVOC-style front end (null-dereference
@@ -76,10 +68,6 @@ struct Cli {
     chaos_rate: Option<f64>,
     store_dir: Option<String>,
     no_store: bool,
-    search_threads: Option<usize>,
-    portfolio: bool,
-    cube_split: Option<u32>,
-    restart_base: Option<u64>,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -102,10 +90,6 @@ fn parse_args() -> Result<Cli, String> {
         chaos_rate: None,
         store_dir: None,
         no_store: false,
-        search_threads: None,
-        portfolio: false,
-        cube_split: None,
-        restart_base: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -208,37 +192,6 @@ fn parse_args() -> Result<Cli, String> {
             "--no-store" => {
                 cli.no_store = true;
                 i += 1;
-            }
-            "--search-threads" => {
-                let v = args.get(i + 1).ok_or("--search-threads needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| "--search-threads needs a positive integer")?;
-                if n == 0 {
-                    return Err("--search-threads must be positive".into());
-                }
-                cli.search_threads = Some(n);
-                i += 2;
-            }
-            "--portfolio" => {
-                cli.portfolio = true;
-                i += 1;
-            }
-            "--cube-split" => {
-                let v = args.get(i + 1).ok_or("--cube-split needs a value")?;
-                cli.cube_split = Some(v.parse().map_err(|_| "--cube-split needs an integer")?);
-                i += 2;
-            }
-            "--restart-base" => {
-                let v = args.get(i + 1).ok_or("--restart-base needs a value")?;
-                let base: u64 = v
-                    .parse()
-                    .map_err(|_| "--restart-base needs a positive integer")?;
-                if base == 0 {
-                    return Err("--restart-base must be positive".into());
-                }
-                cli.restart_base = Some(base);
-                i += 2;
             }
             "--help" | "-h" => {
                 return Err(String::new());
@@ -377,13 +330,6 @@ fn run() -> Result<bool, String> {
         ));
         silence_injected_panics();
     }
-    opts.analyzer.portfolio = cli.portfolio;
-    if let Some(k) = cli.cube_split {
-        opts.analyzer.cube_split = k;
-    }
-    if let Some(base) = cli.restart_base {
-        opts.analyzer.restart_base = base;
-    }
 
     if cli.interproc {
         let inferred = infer_preconditions(&program, &opts).map_err(|e| e.to_string())?;
@@ -450,7 +396,6 @@ fn run() -> Result<bool, String> {
     let mut results = ProgramAnalysis::new(&program)
         .options(opts)
         .configs(&configs)
-        .search_threads(cli.search_threads.unwrap_or(0))
         .certify(cli.certs_out.is_some())
         .store(store.as_ref())
         .run(observer);
@@ -484,18 +429,6 @@ fn run() -> Result<bool, String> {
         if let Some(chaos) = opts.analyzer.chaos {
             options.push(opt("chaos_seed", chaos.seed));
             options.push(opt("chaos_rate", chaos.rate));
-        }
-        if cli.portfolio {
-            options.push(opt("portfolio", true));
-        }
-        if let Some(k) = cli.cube_split {
-            options.push(opt("cube_split", u64::from(k)));
-        }
-        if let Some(n) = cli.search_threads {
-            options.push(opt("search_threads", n as u64));
-        }
-        if let Some(base) = cli.restart_base {
-            options.push(opt("restart_base", base));
         }
         if let Some(store) = &store {
             options.push(opt("store_dir", cli.store_dir.clone().unwrap_or_default()));
@@ -620,9 +553,7 @@ fn main() -> ExitCode {
                  [--cons] [--interproc] [--all-configs] [--specs] [--triage] \
                  [--format text|json] [--trace-out path] [--metrics-out path] \
                  [--certs-out path] [--no-query-cache] [--deadline secs] \
-                 [--chaos-seed n] [--chaos-rate p] [--store-dir path] [--no-store] \
-                 [--search-threads n] [--portfolio] [--cube-split k] \
-                 [--restart-base n]\n\
+                 [--chaos-seed n] [--chaos-rate p] [--store-dir path] [--no-store]\n\
                  usage: acspec check <report.json | certs.json>"
             );
             ExitCode::from(2)
