@@ -120,9 +120,9 @@ pub struct EvalOptions {
     /// parallelism.
     pub threads: usize,
     /// Emit per-verdict certificates (the `--certs-out` sidecar).
-    /// Certification replays claim-backing queries into fresh proof-
-    /// logging solvers outside the staged timings, so reports stay
-    /// byte-identical.
+    /// Certification replays claim-backing queries into one
+    /// proof-logging solver per procedure outside the staged timings,
+    /// so reports stay byte-identical.
     pub certify: bool,
 }
 

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use crate::json::Value;
 
 /// The schema version this checker understands.
-pub const SUPPORTED_SCHEMA_VERSION: i64 = 3;
+pub const SUPPORTED_SCHEMA_VERSION: i64 = 4;
 
 /// A term node (the checker's own mirror of the engine's serialized
 /// form; no shared code).
@@ -78,8 +78,10 @@ pub enum Tag {
         /// The clause parts.
         parts: Vec<(u32, bool)>,
     },
-    /// Caller blocking clause over terms.
-    External {
+    /// Caller blocking clause `¬guard ∨ parts`.
+    Guarded {
+        /// The guard: a fresh boolean variable term.
+        guard: u32,
         /// The clause part terms.
         parts: Vec<u32>,
     },
@@ -124,13 +126,11 @@ pub struct Model {
     pub funcs: BTreeMap<String, Table<Vec<i64>>>,
 }
 
-/// Proof evidence (Unsat).
+/// Proof evidence (Unsat): a prefix of the procedure's shared log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Proof {
-    /// Term id → signed Tseitin literal.
-    pub lits: BTreeMap<u32, i64>,
-    /// Chronological input/learnt log.
-    pub events: Vec<Event>,
+    /// Number of log events the verdict rests on.
+    pub log_upto: usize,
     /// Assumption terms responsible for unsatisfiability.
     pub core: Vec<u32>,
 }
@@ -253,6 +253,10 @@ pub struct Proc {
     pub terms: BTreeMap<u32, Node>,
     /// Base assert stream (root term ids, in order).
     pub asserts: Vec<u32>,
+    /// Term id → signed Tseitin literal of the shared proof log.
+    pub lits: BTreeMap<u32, i64>,
+    /// The shared, chronological input/learnt proof log.
+    pub log: Vec<Event>,
     /// Certificates.
     pub certs: Vec<Cert>,
     /// Claims.
@@ -365,8 +369,9 @@ fn parse_tag(v: &Value) -> Result<Tag, String> {
                 .collect::<Result<Vec<_>, _>>()?;
             Tag::Theory { parts }
         }
-        ("external", 2) => Tag::External {
-            parts: ids(&a[1], "external parts")?,
+        ("guarded", 3) => Tag::Guarded {
+            guard: a[1].u32().ok_or_else(|| err("guarded tag guard"))?,
+            parts: ids(&a[2], "guarded parts")?,
         },
         _ => return Err(err(&format!("unknown clause tag `{name}`"))),
     })
@@ -444,53 +449,41 @@ fn parse_model(v: &Value) -> Result<Model, String> {
     Ok(model)
 }
 
-fn parse_proof(v: &Value) -> Result<Proof, String> {
+fn parse_lits(v: &Value) -> Result<BTreeMap<u32, i64>, String> {
     let mut lits = BTreeMap::new();
-    for e in v
-        .get("lits")
-        .and_then(Value::arr)
-        .ok_or_else(|| err("proof lits"))?
-    {
+    for e in v.arr().ok_or_else(|| err("proc lits"))? {
         let pair = e
             .arr()
             .filter(|a| a.len() == 2)
-            .ok_or_else(|| err("proof lit pair"))?;
-        let t = pair[0].u32().ok_or_else(|| err("proof lit term"))?;
-        let l = pair[1].int().ok_or_else(|| err("proof lit value"))?;
+            .ok_or_else(|| err("lit pair"))?;
+        let t = pair[0].u32().ok_or_else(|| err("lit term"))?;
+        let l = pair[1].int().ok_or_else(|| err("lit value"))?;
         if l == 0 {
             return Err(err("zero literal"));
         }
         if lits.insert(t, l).is_some() {
-            return Err(err("duplicate proof lit term"));
+            return Err(err("duplicate lit term"));
         }
     }
-    let mut events = Vec::new();
-    for e in v
-        .get("events")
-        .and_then(Value::arr)
-        .ok_or_else(|| err("proof events"))?
-    {
-        let a = e.arr().ok_or_else(|| err("proof event shape"))?;
-        let kind = a
-            .first()
-            .and_then(Value::str)
-            .ok_or_else(|| err("proof event kind"))?;
-        match (kind, a.len()) {
-            ("input", 3) => events.push(Event::Input {
-                lits: signed(&a[1], "input clause lits")?,
-                tag: parse_tag(&a[2])?,
-            }),
-            ("learnt", 2) => events.push(Event::Learnt {
-                lits: signed(&a[1], "learnt clause lits")?,
-            }),
-            _ => return Err(err("unknown proof event")),
-        }
+    Ok(lits)
+}
+
+fn parse_event(e: &Value) -> Result<Event, String> {
+    let a = e.arr().ok_or_else(|| err("log event shape"))?;
+    let kind = a
+        .first()
+        .and_then(Value::str)
+        .ok_or_else(|| err("log event kind"))?;
+    match (kind, a.len()) {
+        ("input", 3) => Ok(Event::Input {
+            lits: signed(&a[1], "input clause lits")?,
+            tag: parse_tag(&a[2])?,
+        }),
+        ("learnt", 2) => Ok(Event::Learnt {
+            lits: signed(&a[1], "learnt clause lits")?,
+        }),
+        _ => Err(err("unknown log event")),
     }
-    let core = ids(
-        v.get("core").ok_or_else(|| err("proof core missing"))?,
-        "proof core",
-    )?;
-    Ok(Proof { lits, events, core })
 }
 
 fn parse_cert(v: &Value) -> Result<Cert, String> {
@@ -519,10 +512,16 @@ fn parse_cert(v: &Value) -> Result<Cert, String> {
             v.get("model")
                 .ok_or_else(|| err("sat cert missing model"))?,
         )?),
-        "unsat" => Outcome::Unsat(parse_proof(
-            v.get("proof")
-                .ok_or_else(|| err("unsat cert missing proof"))?,
-        )?),
+        "unsat" => Outcome::Unsat(Proof {
+            log_upto: v
+                .get("log_upto")
+                .and_then(Value::usize)
+                .ok_or_else(|| err("unsat cert log_upto"))?,
+            core: ids(
+                v.get("core").ok_or_else(|| err("unsat cert core"))?,
+                "unsat cert core",
+            )?,
+        }),
         "unknown" => Outcome::Unknown,
         other => return Err(err(&format!("unknown outcome `{other}`"))),
     };
@@ -665,6 +664,14 @@ fn parse_proc(v: &Value) -> Result<Proc, String> {
         v.get("asserts").ok_or_else(|| err("proc asserts"))?,
         "proc asserts",
     )?;
+    let lits = parse_lits(v.get("lits").ok_or_else(|| err("proc lits"))?)?;
+    let log = v
+        .get("log")
+        .and_then(Value::arr)
+        .ok_or_else(|| err("proc log"))?
+        .iter()
+        .map(parse_event)
+        .collect::<Result<Vec<_>, _>>()?;
     let certs = v
         .get("certs")
         .and_then(Value::arr)
@@ -690,6 +697,8 @@ fn parse_proc(v: &Value) -> Result<Proc, String> {
         proc_name,
         terms,
         asserts,
+        lits,
+        log,
         certs,
         claims,
         chains,
@@ -698,7 +707,12 @@ fn parse_proc(v: &Value) -> Result<Proc, String> {
 
 /// Parses a certificate sidecar document from JSON text.
 pub fn parse_certs_doc(text: &str) -> Result<CertsDoc, String> {
-    let v = crate::json::parse(text)?;
+    certs_doc_from_value(&crate::json::parse(text)?)
+}
+
+/// Reads a certificate sidecar document from an already-parsed JSON
+/// value.
+pub fn certs_doc_from_value(v: &Value) -> Result<CertsDoc, String> {
     let schema_version = v
         .get("schema_version")
         .and_then(Value::int)

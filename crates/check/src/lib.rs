@@ -17,12 +17,21 @@
 //!
 //! * **`Sat` verdicts** — every asserted root, assumption, and blocking
 //!   clause must evaluate to *true* under the certificate's model.
-//! * **`Unsat` verdicts** — every input clause in the proof log must
-//!   match its provenance tag (asserted unit, Tseitin definitional
+//! * **`Unsat` verdicts** — every procedure carries one shared,
+//!   append-only proof log that its certificates reference by prefix
+//!   (`log_upto`). Each log event is validated once: every input clause
+//!   must match its provenance tag (asserted unit, Tseitin definitional
 //!   clause reconstructed from the term structure, theory clause
-//!   matching its term-level reading, blocking clause matching the
-//!   query), every learnt clause must be a RUP consequence of the
-//!   clauses before it, and the final core must propagate to a conflict.
+//!   matching its term-level reading, guarded blocking clause), every
+//!   learnt clause must be a RUP consequence of the clauses before it,
+//!   and each certificate's core must propagate to a conflict against
+//!   the log prefix it names. The *prefix rule* ties the prefix to the
+//!   claim: every `assert` event before `log_upto` names a root in the
+//!   certificate's `asserts[..asserts_upto]`. The *guard rule* keeps
+//!   blocking clauses honest: a guard is a fresh `bool_var` that occurs
+//!   in no term and in no tag but its own guarded clauses `¬g ∨ C` (so
+//!   those clauses are inert unless `g` is assumed), and a certificate
+//!   assuming guards must declare exactly their clauses as `blocking`.
 //! * **Claim/certificate agreement** — each claim's expected verdict
 //!   against its certificate's outcome, cube literals against the
 //!   certificate's assumptions, cover-exhaustion blocking clauses
@@ -75,8 +84,19 @@ impl CheckSummary {
 
 /// Checks a certificate sidecar document (the `--certs-out` JSON text).
 pub fn check_document(text: &str) -> CheckSummary {
+    match json::parse(text) {
+        Ok(v) => check_value(&v),
+        Err(e) => CheckSummary {
+            errors: vec![e],
+            ..CheckSummary::default()
+        },
+    }
+}
+
+/// Checks an already-parsed certificate sidecar document.
+pub fn check_value(v: &json::Value) -> CheckSummary {
     let mut sum = CheckSummary::default();
-    let parsed = match doc::parse_certs_doc(text) {
+    let parsed = match doc::certs_doc_from_value(v) {
         Ok(d) => d,
         Err(e) => {
             sum.errors.push(e);
@@ -138,52 +158,36 @@ fn check_proc(p: &Proc, sum: &mut CheckSummary) {
         }
     }
 
-    // Certificates.
+    for e in check_lits(p) {
+        sum.errors.push(format!("proc {name}: {e}"));
+    }
+    let guards = guarded_clauses(p);
+    for e in check_guards(p, &guards) {
+        sum.errors.push(format!("proc {name}: {e}"));
+    }
+
+    // Certificates, in index order against one incremental log replay.
+    let mut replay = LogReplay::new(p, &guards);
     for (ci, cert) in p.certs.iter().enumerate() {
         sum.certs += 1;
-        let mut fail = |msg: String| sum.errors.push(format!("proc {name}: cert {ci}: {msg}"));
-        if cert.asserts_upto > p.asserts.len() {
-            fail(format!(
-                "asserts_upto {} exceeds assert stream length {}",
-                cert.asserts_upto,
-                p.asserts.len()
-            ));
-            continue;
-        }
-        let mut shape_ok = true;
-        for &t in cert
-            .assumptions
-            .iter()
-            .chain(cert.blocking.iter().flatten())
-        {
-            if !p.terms.contains_key(&t) {
-                fail(format!("references missing term {t}"));
-                shape_ok = false;
-            }
-        }
-        if !shape_ok {
-            continue;
-        }
+        let errors = check_cert(&mut replay, cert);
         match &cert.outcome {
-            Outcome::Sat(_) => {
-                sum.sat_certs += 1;
-                for e in check_sat_cert(p, cert) {
-                    sum.errors.push(format!("proc {name}: cert {ci}: {e}"));
-                }
-            }
-            Outcome::Unsat(proof) => {
-                sum.unsat_certs += 1;
-                for e in check_unsat_cert(p, cert, proof) {
-                    sum.errors.push(format!("proc {name}: cert {ci}: {e}"));
-                }
-            }
-            Outcome::Unknown => {
-                sum.errors.push(format!(
-                    "proc {name}: cert {ci}: outcome `unknown` is not checkable"
-                ));
-            }
+            Outcome::Sat(_) => sum.sat_certs += 1,
+            Outcome::Unsat(_) => sum.unsat_certs += 1,
+            Outcome::Unknown => {}
         }
+        sum.errors
+            .extend(replay.errors.drain(..).map(|e| format!("proc {name}: {e}")));
+        sum.errors.extend(
+            errors
+                .into_iter()
+                .map(|e| format!("proc {name}: cert {ci}: {e}")),
+        );
     }
+    // Events no certificate reached are validated too.
+    replay.advance(p.log.len());
+    sum.errors
+        .extend(replay.errors.drain(..).map(|e| format!("proc {name}: {e}")));
 
     // Claims (plus cube bookkeeping for the per-label passes below).
     let mut cubes_by_label: BTreeMap<&str, Vec<(usize, &[i64])>> = BTreeMap::new();
@@ -480,76 +484,356 @@ fn check_sat_cert(p: &Proc, cert: &Cert) -> Vec<String> {
     errors
 }
 
+fn check_cert(replay: &mut LogReplay, cert: &Cert) -> Vec<String> {
+    let p = replay.p;
+    if cert.asserts_upto > p.asserts.len() {
+        return vec![format!(
+            "asserts_upto {} exceeds assert stream length {}",
+            cert.asserts_upto,
+            p.asserts.len()
+        )];
+    }
+    let missing: Vec<String> = cert
+        .assumptions
+        .iter()
+        .chain(cert.blocking.iter().flatten())
+        .filter(|t| !p.terms.contains_key(t))
+        .map(|t| format!("references missing term {t}"))
+        .collect();
+    if !missing.is_empty() {
+        return missing;
+    }
+    let mut errors = check_blocking_guards(replay.guards, cert);
+    match &cert.outcome {
+        Outcome::Sat(_) => errors.extend(check_sat_cert(p, cert)),
+        Outcome::Unsat(proof) => errors.extend(check_unsat_cert(replay, cert, proof)),
+        Outcome::Unknown => errors.push("outcome `unknown` is not checkable".to_string()),
+    }
+    errors
+}
+
 // ---------------------------------------------------------------------
-// Unsat: proof replay
+// Guards: ALL-SAT blocking clauses in the shared log
 // ---------------------------------------------------------------------
 
-fn check_unsat_cert(p: &Proc, cert: &Cert, proof: &Proof) -> Vec<String> {
-    let mut errors = Vec::new();
+/// Every guard with its guarded clauses' part sets, in log order.
+type Guards = BTreeMap<u32, Vec<BTreeSet<u32>>>;
 
-    // Literal-table consistency: a negation's literal is the negated
-    // literal of its child (the engine never allocates a fresh variable
-    // for `Not`).
-    for (&t, &l) in &proof.lits {
-        if !p.terms.contains_key(&t) {
-            errors.push(format!("literal table references missing term {t}"));
-            continue;
+fn guarded_clauses(p: &Proc) -> Guards {
+    let mut guards = Guards::new();
+    for event in &p.log {
+        if let Event::Input {
+            tag: Tag::Guarded { guard, parts },
+            ..
+        } = event
+        {
+            guards
+                .entry(*guard)
+                .or_default()
+                .push(parts.iter().copied().collect());
         }
-        if let Some(Node::Not(a)) = p.terms.get(&t) {
-            if proof.lits.get(a) != Some(&-l) {
-                errors.push(format!(
-                    "literal of negation term {t} is not the negated literal of term {a}"
-                ));
+    }
+    guards
+}
+
+/// The guard rule's term-level half: a guard is a `bool_var` that no
+/// term node and no assert root mentions, with a literal variable of
+/// its own. (The tag-level half — no tag but its guarded clauses names
+/// it — is checked per log event.) Its clauses `¬g ∨ C` then constrain
+/// nothing unless `g` is assumed.
+fn check_guards(p: &Proc, guards: &Guards) -> Vec<String> {
+    let mut errors = Vec::new();
+    if guards.is_empty() {
+        return errors;
+    }
+    let mut parent: HashMap<u32, u32> = HashMap::new();
+    for (&id, node) in &p.terms {
+        for c in node_children(node) {
+            parent.entry(c).or_insert(id);
+        }
+    }
+    let mut var_owner: HashMap<u64, Vec<u32>> = HashMap::new();
+    for (&t, &l) in &p.lits {
+        var_owner.entry(l.unsigned_abs()).or_default().push(t);
+    }
+    let asserted: HashSet<u32> = p.asserts.iter().copied().collect();
+    for &g in guards.keys() {
+        if !matches!(p.terms.get(&g), Some(Node::BoolVar(_))) {
+            errors.push(format!("guard term {g} is not a bool_var"));
+        }
+        if let Some(t) = parent.get(&g) {
+            errors.push(format!("guard term {g} occurs inside term {t}"));
+        }
+        if asserted.contains(&g) {
+            errors.push(format!("guard term {g} is in the assert stream"));
+        }
+        match p.lits.get(&g) {
+            None => errors.push(format!("guard term {g} has no literal")),
+            Some(l) => {
+                for &t in var_owner.get(&l.unsigned_abs()).into_iter().flatten() {
+                    if t != g {
+                        errors.push(format!(
+                            "guard term {g} shares literal variable {} with term {t}",
+                            l.unsigned_abs()
+                        ));
+                    }
+                }
             }
         }
     }
+    errors
+}
 
-    let asserted: HashSet<u32> = p.asserts[..cert.asserts_upto].iter().copied().collect();
-    let blocking_sets: Vec<BTreeSet<u32>> = cert
+/// A certificate's `blocking` clauses must be exactly the clauses
+/// guarded by the guards it assumes (none when it assumes none).
+fn check_blocking_guards(guards: &Guards, cert: &Cert) -> Vec<String> {
+    let assumed: Vec<u32> = cert
+        .assumptions
+        .iter()
+        .filter(|t| guards.contains_key(t))
+        .copied()
+        .collect();
+    let mut want: Vec<&BTreeSet<u32>> = assumed.iter().flat_map(|g| &guards[g]).collect();
+    let declared: Vec<BTreeSet<u32>> = cert
         .blocking
         .iter()
         .map(|cl| cl.iter().copied().collect())
         .collect();
-    let mut tseitin_memo: HashMap<u32, HashSet<Vec<i64>>> = HashMap::new();
-    let mut prop = Propagator::new();
+    let mut got: Vec<&BTreeSet<u32>> = declared.iter().collect();
+    want.sort();
+    got.sort();
+    if got == want {
+        Vec::new()
+    } else if assumed.is_empty() {
+        vec![format!(
+            "declares {} blocking clause(s) but assumes no guard",
+            got.len()
+        )]
+    } else {
+        vec![format!(
+            "blocking clauses do not match the {} clause(s) guarded by assumed guard(s) {assumed:?}",
+            want.len()
+        )]
+    }
+}
 
-    for (ei, event) in proof.events.iter().enumerate() {
-        let lits = match event {
-            Event::Input { lits, .. } | Event::Learnt { lits } => lits,
-        };
-        if lits.contains(&0) {
-            errors.push(format!("event {ei}: zero literal"));
-            continue;
+// ---------------------------------------------------------------------
+// Unsat: proof replay
+// ---------------------------------------------------------------------
+
+/// Literal-table consistency, checked once per procedure: every entry
+/// names a term, and a negation's literal is the negated literal of its
+/// child (the engine never allocates a fresh variable for `Not`).
+fn check_lits(p: &Proc) -> Vec<String> {
+    let mut errors = Vec::new();
+    for (&t, &l) in &p.lits {
+        match p.terms.get(&t) {
+            None => errors.push(format!("literal table references missing term {t}")),
+            Some(Node::Not(a)) if p.lits.get(a) != Some(&-l) => errors.push(format!(
+                "literal of negation term {t} is not the negated literal of term {a}"
+            )),
+            Some(_) => {}
         }
-        match event {
-            Event::Input { lits, tag } => {
-                if let Err(e) = check_input_clause(
-                    p,
-                    proof,
-                    &asserted,
-                    &blocking_sets,
-                    &mut tseitin_memo,
-                    lits,
-                    tag,
-                ) {
-                    errors.push(format!("event {ei}: {e}"));
-                }
-                prop.add_clause(lits);
+    }
+    errors
+}
+
+/// The procedure's shared log, replayed once: each event is validated
+/// and added to one propagator the first time a certificate's
+/// `log_upto` reaches past it.
+struct LogReplay<'a> {
+    p: &'a Proc,
+    guards: &'a Guards,
+    /// First position of each root in the assert stream.
+    assert_pos: HashMap<u32, usize>,
+    tseitin_memo: HashMap<u32, HashSet<Vec<i64>>>,
+    prop: Propagator,
+    /// Events validated and added so far.
+    next: usize,
+    /// The furthest assert-stream position an `assert` event so far
+    /// names, with that event's index.
+    furthest_assert: Option<(usize, usize)>,
+    /// Event validation failures not yet reported.
+    errors: Vec<String>,
+}
+
+impl<'a> LogReplay<'a> {
+    fn new(p: &'a Proc, guards: &'a Guards) -> LogReplay<'a> {
+        let mut assert_pos = HashMap::new();
+        for (i, &t) in p.asserts.iter().enumerate() {
+            assert_pos.entry(t).or_insert(i);
+        }
+        LogReplay {
+            p,
+            guards,
+            assert_pos,
+            tseitin_memo: HashMap::new(),
+            prop: Propagator::new(),
+            next: 0,
+            furthest_assert: None,
+            errors: Vec::new(),
+        }
+    }
+
+    /// Validates and adds events up to (excluding) `upto`.
+    fn advance(&mut self, upto: usize) {
+        let p = self.p;
+        for (ei, event) in p.log.iter().enumerate().take(upto).skip(self.next) {
+            let lits = match event {
+                Event::Input { lits, .. } | Event::Learnt { lits } => lits,
+            };
+            if lits.contains(&0) {
+                self.errors.push(format!("log event {ei}: zero literal"));
+                continue;
             }
-            Event::Learnt { lits } => {
-                if !prop.has_rup(lits) {
-                    errors.push(format!(
-                        "event {ei}: learnt clause is not a RUP consequence of the clauses before it"
+            match event {
+                Event::Input { lits, tag } => {
+                    if let Err(e) = self.check_input_clause(ei, lits, tag) {
+                        self.errors.push(format!("log event {ei}: {e}"));
+                    }
+                }
+                Event::Learnt { lits } => {
+                    if !self.prop.has_rup(lits) {
+                        self.errors.push(format!(
+                            "log event {ei}: learnt clause is not a RUP consequence of the clauses before it"
+                        ));
+                    }
+                }
+            }
+            self.prop.add_clause(lits);
+        }
+        self.next = self.next.max(upto);
+    }
+
+    /// Validates one tagged input clause against its provenance: the
+    /// clause must be byte-for-byte reconstructible from the term
+    /// structure and the literal table, so a single flipped or dropped
+    /// literal is rejected.
+    fn check_input_clause(&mut self, ei: usize, lits: &[i64], tag: &Tag) -> Result<(), String> {
+        let p = self.p;
+        let named: Vec<u32> = match tag {
+            Tag::Assert { term } | Tag::Purify { term } | Tag::Tseitin { term } => vec![*term],
+            Tag::Theory { parts } => parts.iter().map(|&(t, _)| t).collect(),
+            Tag::Guarded { parts, .. } => parts.clone(),
+        };
+        if let Some(g) = named.iter().find(|t| self.guards.contains_key(t)) {
+            return Err(format!("guard term {g} used in a {} tag", tag_name(tag)));
+        }
+        let got = sorted(lits);
+        match tag {
+            Tag::Assert { term } => {
+                let Some(&pos) = self.assert_pos.get(term) else {
+                    return Err(format!(
+                        "assert tag names term {term} outside the assert stream"
+                    ));
+                };
+                if self.furthest_assert.is_none_or(|(far, _)| pos > far) {
+                    self.furthest_assert = Some((pos, ei));
+                }
+                let want = vec![lit_of(p, *term)?];
+                if got != want {
+                    return Err(format!(
+                        "assert clause does not match literal of term {term}"
                     ));
                 }
-                prop.add_clause(lits);
+                Ok(())
             }
+            Tag::Purify { term } => {
+                let want = vec![lit_of(p, *term)?];
+                if got != want {
+                    return Err(format!(
+                        "purify clause does not match literal of guard term {term}"
+                    ));
+                }
+                Ok(())
+            }
+            Tag::Tseitin { term } => {
+                if !self.tseitin_memo.contains_key(term) {
+                    let set = tseitin_clauses(p, *term)?;
+                    self.tseitin_memo.insert(*term, set);
+                }
+                if self.tseitin_memo[term].contains(&got) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "clause is not a definitional clause of term {term}"
+                    ))
+                }
+            }
+            Tag::Theory { parts } => {
+                if parts.is_empty() {
+                    return Err("theory clause with no parts".to_string());
+                }
+                let mut want = Vec::with_capacity(parts.len());
+                for &(t, pol) in parts {
+                    let l = lit_of(p, t)?;
+                    want.push(if pol { l } else { -l });
+                }
+                want.sort_unstable();
+                if got != want {
+                    return Err("theory clause does not match its term-level reading".to_string());
+                }
+                Ok(())
+            }
+            Tag::Guarded { guard, parts } => {
+                let mut want = Vec::with_capacity(parts.len() + 1);
+                want.push(-lit_of(p, *guard)?);
+                for &t in parts {
+                    want.push(lit_of(p, t)?);
+                }
+                want.sort_unstable();
+                if got != want {
+                    return Err(format!(
+                        "guarded clause does not match the literals of guard {guard} and its parts"
+                    ));
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+fn tag_name(tag: &Tag) -> &'static str {
+    match tag {
+        Tag::Assert { .. } => "assert",
+        Tag::Purify { .. } => "purify",
+        Tag::Tseitin { .. } => "tseitin",
+        Tag::Theory { .. } => "theory",
+        Tag::Guarded { .. } => "guarded",
+    }
+}
+
+fn check_unsat_cert(replay: &mut LogReplay, cert: &Cert, proof: &Proof) -> Vec<String> {
+    let p = replay.p;
+    let upto = proof.log_upto;
+    if upto > p.log.len() {
+        return vec![format!(
+            "log_upto {upto} exceeds log length {}",
+            p.log.len()
+        )];
+    }
+    if upto < replay.next {
+        return vec![format!(
+            "log_upto {upto} decreases: an earlier certificate reached {}",
+            replay.next
+        )];
+    }
+    replay.advance(upto);
+    let mut errors = Vec::new();
+
+    // Prefix rule: the log prefix asserts only the certificate's roots.
+    if let Some((pos, ei)) = replay.furthest_assert {
+        if pos >= cert.asserts_upto {
+            errors.push(format!(
+                "log event {ei} asserts stream position {pos}, beyond asserts_upto {}",
+                cert.asserts_upto
+            ));
         }
     }
 
     // Final conflict: the blamed core (a subset of the assumptions) must
-    // propagate to a conflict; an empty core requires the clause
-    // database alone to be contradictory.
+    // propagate to a conflict against the log prefix; an empty core
+    // requires the prefix alone to be contradictory.
     let assumed: HashSet<u32> = cert.assumptions.iter().copied().collect();
     let mut units = Vec::with_capacity(proof.core.len());
     let mut core_ok = true;
@@ -558,7 +842,7 @@ fn check_unsat_cert(p: &Proc, cert: &Cert, proof: &Proof) -> Vec<String> {
             errors.push(format!("core term {t} is not among the assumptions"));
             core_ok = false;
         }
-        match proof.lits.get(&t) {
+        match p.lits.get(&t) {
             Some(&l) => units.push(l),
             None => {
                 errors.push(format!("core term {t} has no literal"));
@@ -566,15 +850,16 @@ fn check_unsat_cert(p: &Proc, cert: &Cert, proof: &Proof) -> Vec<String> {
             }
         }
     }
-    if core_ok && !prop.units_conflict(&units) {
-        errors.push("final core does not propagate to a conflict".to_string());
+    if core_ok && !replay.prop.units_conflict(&units) {
+        errors.push(format!(
+            "final core does not propagate to a conflict at log_upto {upto}"
+        ));
     }
     errors
 }
 
-fn lit_of(proof: &Proof, t: u32) -> Result<i64, String> {
-    proof
-        .lits
+fn lit_of(p: &Proc, t: u32) -> Result<i64, String> {
+    p.lits
         .get(&t)
         .copied()
         .ok_or_else(|| format!("term {t} has no literal"))
@@ -586,97 +871,10 @@ fn sorted(lits: &[i64]) -> Vec<i64> {
     v
 }
 
-/// Validates one tagged input clause against its provenance: the clause
-/// must be byte-for-byte reconstructible from the term structure and the
-/// literal table, so a single flipped or dropped literal is rejected.
-fn check_input_clause(
-    p: &Proc,
-    proof: &Proof,
-    asserted: &HashSet<u32>,
-    blocking_sets: &[BTreeSet<u32>],
-    tseitin_memo: &mut HashMap<u32, HashSet<Vec<i64>>>,
-    lits: &[i64],
-    tag: &Tag,
-) -> Result<(), String> {
-    let got = sorted(lits);
-    match tag {
-        Tag::Assert { term } => {
-            if !asserted.contains(term) {
-                return Err(format!(
-                    "assert tag names term {term} outside the installed prefix"
-                ));
-            }
-            let want = vec![lit_of(proof, *term)?];
-            if got != want {
-                return Err(format!(
-                    "assert clause does not match literal of term {term}"
-                ));
-            }
-            Ok(())
-        }
-        Tag::Purify { term } => {
-            let want = vec![lit_of(proof, *term)?];
-            if got != want {
-                return Err(format!(
-                    "purify clause does not match literal of guard term {term}"
-                ));
-            }
-            Ok(())
-        }
-        Tag::Tseitin { term } => {
-            if !tseitin_memo.contains_key(term) {
-                let set = tseitin_clauses(p, proof, *term)?;
-                tseitin_memo.insert(*term, set);
-            }
-            if tseitin_memo[term].contains(&got) {
-                Ok(())
-            } else {
-                Err(format!(
-                    "clause is not a definitional clause of term {term}"
-                ))
-            }
-        }
-        Tag::Theory { parts } => {
-            if parts.is_empty() {
-                return Err("theory clause with no parts".to_string());
-            }
-            let mut want = Vec::with_capacity(parts.len());
-            for &(t, pol) in parts {
-                let l = lit_of(proof, t)?;
-                want.push(if pol { l } else { -l });
-            }
-            want.sort_unstable();
-            if got != want {
-                return Err("theory clause does not match its term-level reading".to_string());
-            }
-            Ok(())
-        }
-        Tag::External { parts } => {
-            // A width-0 cover clause blocks the universal cube with the
-            // empty clause, so zero parts are legal — but only when the
-            // certificate declares a matching (empty) blocking clause;
-            // a genuinely untagged clause fails the membership check.
-            let set: BTreeSet<u32> = parts.iter().copied().collect();
-            if !blocking_sets.contains(&set) {
-                return Err("external clause does not match any blocking clause".to_string());
-            }
-            let mut want = Vec::with_capacity(parts.len());
-            for &t in parts {
-                want.push(lit_of(proof, t)?);
-            }
-            want.sort_unstable();
-            if got != want {
-                return Err("external clause does not match its term literals".to_string());
-            }
-            Ok(())
-        }
-    }
-}
-
 /// The exact definitional (Tseitin) clauses a term may contribute,
 /// reconstructed from the term structure and the literal table.
-fn tseitin_clauses(p: &Proc, proof: &Proof, t: u32) -> Result<HashSet<Vec<i64>>, String> {
-    let l = lit_of(proof, t)?;
+fn tseitin_clauses(p: &Proc, t: u32) -> Result<HashSet<Vec<i64>>, String> {
+    let l = lit_of(p, t)?;
     let node = p
         .terms
         .get(&t)
@@ -694,7 +892,7 @@ fn tseitin_clauses(p: &Proc, proof: &Proof, t: u32) -> Result<HashSet<Vec<i64>>,
         Node::And(ps) => {
             let mut big = Vec::with_capacity(ps.len() + 1);
             for &q in ps {
-                let lq = lit_of(proof, q)?;
+                let lq = lit_of(p, q)?;
                 set.insert(sorted(&[-l, lq]));
                 big.push(-lq);
             }
@@ -704,7 +902,7 @@ fn tseitin_clauses(p: &Proc, proof: &Proof, t: u32) -> Result<HashSet<Vec<i64>>,
         Node::Or(ps) => {
             let mut big = Vec::with_capacity(ps.len() + 1);
             for &q in ps {
-                let lq = lit_of(proof, q)?;
+                let lq = lit_of(p, q)?;
                 set.insert(sorted(&[l, -lq]));
                 big.push(lq);
             }
@@ -712,8 +910,8 @@ fn tseitin_clauses(p: &Proc, proof: &Proof, t: u32) -> Result<HashSet<Vec<i64>>,
             set.insert(sorted(&big));
         }
         Node::Iff(a, b) => {
-            let la = lit_of(proof, *a)?;
-            let lb = lit_of(proof, *b)?;
+            let la = lit_of(p, *a)?;
+            let lb = lit_of(p, *b)?;
             set.insert(sorted(&[-l, -la, lb]));
             set.insert(sorted(&[-l, la, -lb]));
             set.insert(sorted(&[l, la, lb]));
@@ -737,20 +935,50 @@ mod tests {
         check_document(doc)
     }
 
+    /// A one-procedure document: the given term table, assert stream,
+    /// literal table, shared log and certificates, no claims or chains.
+    fn proc_doc(terms: &str, asserts: &str, lits: &str, log: &str, certs: &str) -> String {
+        format!(
+            r#"{{"schema_version":4,"procs":[{{"proc_name":"f",
+               "terms":{{{terms}}},"asserts":[{asserts}],
+               "lits":[{lits}],"log":[{log}],
+               "certs":[{certs}],"claims":[],"chains":[]}}]}}"#
+        )
+    }
+
+    fn unsat_cert(
+        assumptions: &str,
+        asserts_upto: usize,
+        blocking: &str,
+        log_upto: usize,
+        core: &str,
+    ) -> String {
+        format!(
+            r#"{{"assumptions":[{assumptions}],"asserts_upto":{asserts_upto},"blocking":[{blocking}],
+                "outcome":"unsat","log_upto":{log_upto},"core":[{core}],"self_checked":true}}"#
+        )
+    }
+
+    fn has(sum: &CheckSummary, needle: &str) -> bool {
+        sum.errors.iter().any(|e| e.contains(needle))
+    }
+
     #[test]
     fn rejects_wrong_schema_version() {
-        let s = check(r#"{"schema_version":2,"procs":[]}"#);
-        assert!(!s.ok());
-        assert!(s.errors[0].contains("schema_version"));
+        for v in [2, 3] {
+            let s = check(&format!(r#"{{"schema_version":{v},"procs":[]}}"#));
+            assert!(!s.ok());
+            assert!(s.errors[0].contains("schema_version"));
+        }
     }
 
     #[test]
     fn accepts_valid_sat_cert_and_rejects_mutated_model() {
         let doc = |val: bool| {
             format!(
-                r#"{{"schema_version":3,"procs":[{{"proc_name":"f",
+                r#"{{"schema_version":4,"procs":[{{"proc_name":"f",
                    "terms":{{"1":["bool_var","b"]}},
-                   "asserts":[1],
+                   "asserts":[1],"lits":[],"log":[],
                    "certs":[{{"assumptions":[],"asserts_upto":1,"blocking":[],
                               "outcome":"sat",
                               "model":{{"ints":{{}},"bools":{{"b":{val}}},"maps":{{}},"funcs":{{}}}},
@@ -767,22 +995,17 @@ mod tests {
         assert!(bad.errors[0].contains("false under the model"));
     }
 
-    // Two asserted roots `b` and `¬b`: the clause database alone is
-    // contradictory, so the core is empty.
+    // Two asserted roots `b` and `¬b`: the log alone is contradictory,
+    // so the core is empty.
+    const B_NOT_B: &str = r#""1":["bool_var","b"],"2":["not",1]"#;
+
     fn unsat_doc(first_clause: &str, core: &str) -> String {
-        format!(
-            r#"{{"schema_version":3,"procs":[{{"proc_name":"f",
-               "terms":{{"1":["bool_var","b"],"2":["not",1]}},
-               "asserts":[1,2],
-               "certs":[{{"assumptions":[],"asserts_upto":2,"blocking":[],
-                          "outcome":"unsat",
-                          "proof":{{"lits":[[1,1],[2,-1]],
-                                    "events":[["input",[{first_clause}],["assert",1]],
-                                              ["input",[-1],["assert",2]]],
-                                    "core":[{core}]}},
-                          "self_checked":true}}],
-               "claims":[{{"label":"Cons","kind":"cannot_fail","expect":"unsat","cert":0}}],
-               "chains":[]}}]}}"#
+        proc_doc(
+            B_NOT_B,
+            "1,2",
+            "[1,1],[2,-1]",
+            &format!(r#"["input",[{first_clause}],["assert",1]],["input",[-1],["assert",2]]"#),
+            &unsat_cert("", 2, "", 2, core),
         )
     }
 
@@ -791,96 +1014,236 @@ mod tests {
         let good = check(&unsat_doc("1", ""));
         assert!(good.ok(), "unexpected errors: {:?}", good.errors);
         assert_eq!(good.unsat_certs, 1);
-        // Flip the first input clause's literal: tag reconstruction fails
-        // AND the database no longer conflicts.
+        // Flip the first log clause's literal: tag reconstruction fails
+        // AND the log prefix no longer conflicts.
         let bad = check(&unsat_doc("-1", ""));
         assert!(!bad.ok());
-        assert!(bad
-            .errors
-            .iter()
-            .any(|e| e.contains("does not match literal")));
-        assert!(bad.errors.iter().any(|e| e.contains("final core")));
+        assert!(has(
+            &bad,
+            "log event 0: assert clause does not match literal"
+        ));
+        assert!(has(&bad, "final core"));
     }
 
     #[test]
     fn rejects_core_term_outside_assumptions() {
         let bad = check(&unsat_doc("1", "1"));
-        assert!(bad
-            .errors
-            .iter()
-            .any(|e| e.contains("not among the assumptions")));
+        assert!(has(&bad, "not among the assumptions"));
     }
 
     #[test]
     fn learnt_clauses_must_be_rup() {
         // Theory clauses (b ∨ c) and (¬b ∨ c) entail c but not b.
         let doc = |learnt: &str| {
-            format!(
-                r#"{{"schema_version":3,"procs":[{{"proc_name":"f",
-                   "terms":{{"1":["bool_var","b"],"2":["bool_var","c"],"3":["not",2]}},
-                   "asserts":[],
-                   "certs":[{{"assumptions":[3],"asserts_upto":0,"blocking":[],
-                              "outcome":"unsat",
-                              "proof":{{"lits":[[1,1],[2,2],[3,-2]],
-                                        "events":[["input",[1,2],["theory",[[1,true],[2,true]]]],
-                                                  ["input",[-1,2],["theory",[[1,false],[2,true]]]],
-                                                  ["learnt",[{learnt}]]],
-                                        "core":[3]}},
-                              "self_checked":true}}],
-                   "claims":[],"chains":[]}}]}}"#
+            proc_doc(
+                r#""1":["bool_var","b"],"2":["bool_var","c"],"3":["not",2]"#,
+                "",
+                "[1,1],[2,2],[3,-2]",
+                &format!(
+                    r#"["input",[1,2],["theory",[[1,true],[2,true]]]],
+                       ["input",[-1,2],["theory",[[1,false],[2,true]]]],
+                       ["learnt",[{learnt}]]"#
+                ),
+                &unsat_cert("3", 0, "", 3, "3"),
             )
         };
         let good = check(&doc("2"));
         assert!(good.ok(), "unexpected errors: {:?}", good.errors);
         let bad = check(&doc("1"));
-        assert!(bad.errors.iter().any(|e| e.contains("RUP")));
+        assert!(has(
+            &bad,
+            "log event 2: learnt clause is not a RUP consequence"
+        ));
     }
 
     #[test]
-    fn rejects_unknown_outcomes_and_untagged_clauses() {
-        let unknown = check(
-            r#"{"schema_version":3,"procs":[{"proc_name":"f","terms":{},"asserts":[],
-               "certs":[{"assumptions":[],"asserts_upto":0,"blocking":[],
-                         "outcome":"unknown","self_checked":true}],
-               "claims":[],"chains":[]}]}"#,
-        );
-        assert!(unknown.errors.iter().any(|e| e.contains("unknown")));
-        // A clause with no provenance parts is only legal when the
-        // certificate declares a matching empty blocking clause.
-        let untagged = check(
-            r#"{"schema_version":3,"procs":[{"proc_name":"f",
-               "terms":{"1":["bool_var","b"]},"asserts":[],
-               "certs":[{"assumptions":[],"asserts_upto":0,"blocking":[],
-                         "outcome":"unsat",
-                         "proof":{"lits":[[1,1]],
-                                  "events":[["input",[1],["external",[]]],
-                                            ["input",[-1],["external",[]]]],
-                                  "core":[]},
-                         "self_checked":true}],
-               "claims":[],"chains":[]}]}"#,
-        );
-        assert!(untagged
-            .errors
-            .iter()
-            .any(|e| e.contains("does not match any blocking clause")));
-        // The width-0 cover case: a declared empty blocking clause is
-        // the empty input clause, contradictory on its own.
-        let empty_blocking = check(
-            r#"{"schema_version":3,"procs":[{"proc_name":"f",
-               "terms":{},"asserts":[],
-               "certs":[{"assumptions":[],"asserts_upto":0,"blocking":[[]],
-                         "outcome":"unsat",
-                         "proof":{"lits":[],
-                                  "events":[["input",[],["external",[]]]],
-                                  "core":[]},
-                         "self_checked":true}],
-               "claims":[],"chains":[]}]}"#,
-        );
+    fn rejects_unknown_outcomes() {
+        let unknown = check(&proc_doc(
+            "",
+            "",
+            "",
+            "",
+            r#"{"assumptions":[],"asserts_upto":0,"blocking":[],"outcome":"unknown","self_checked":true}"#,
+        ));
+        assert!(has(&unknown, "unknown"));
+    }
+
+    // A guard `g` (term 1) enabling blocking clauses over `p` (term 2)
+    // and `¬p` (term 3): under `g` the two clauses contradict.
+    const GUARDED: &str = r#""1":["bool_var","block!1"],"2":["bool_var","p"],"3":["not",2]"#;
+    const GUARDED_LITS: &str = "[1,1],[2,2],[3,-2]";
+    const GUARDED_LOG: &str =
+        r#"["input",[-1,2],["guarded",1,[2]]],["input",[-1,-2],["guarded",1,[3]]]"#;
+
+    #[test]
+    fn guarded_blocking_clauses_check_under_their_guard() {
+        let good = check(&proc_doc(
+            GUARDED,
+            "",
+            GUARDED_LITS,
+            GUARDED_LOG,
+            &unsat_cert("1", 0, "[2],[3]", 2, "1"),
+        ));
+        assert!(good.ok(), "unexpected errors: {:?}", good.errors);
+        // The width-0 cover case: an empty blocking clause is the unit
+        // clause `¬g`, contradictory under `g` alone.
+        let empty = check(&proc_doc(
+            r#""1":["bool_var","block!1"]"#,
+            "",
+            "[1,1]",
+            r#"["input",[-1],["guarded",1,[]]]"#,
+            &unsat_cert("1", 0, "[]", 1, "1"),
+        ));
+        assert!(empty.ok(), "unexpected errors: {:?}", empty.errors);
+    }
+
+    #[test]
+    fn rejects_a_guard_used_inside_a_term_or_a_foreign_tag() {
+        let inside = check(&proc_doc(
+            &format!(r#"{GUARDED},"4":["and",[1,2]]"#),
+            "",
+            GUARDED_LITS,
+            GUARDED_LOG,
+            &unsat_cert("1", 0, "[2],[3]", 2, "1"),
+        ));
         assert!(
-            empty_blocking.ok(),
-            "unexpected errors: {:?}",
-            empty_blocking.errors
+            has(&inside, "guard term 1 occurs inside term 4"),
+            "{:?}",
+            inside.errors
         );
+        let theory = check(&proc_doc(
+            GUARDED,
+            "",
+            GUARDED_LITS,
+            &format!(r#"{GUARDED_LOG},["input",[1],["theory",[[1,true]]]]"#),
+            &unsat_cert("1", 0, "[2],[3]", 2, "1"),
+        ));
+        assert!(
+            has(&theory, "log event 2: guard term 1 used in a theory tag"),
+            "{:?}",
+            theory.errors
+        );
+        let shared = check(&proc_doc(
+            &format!(r#"{GUARDED},"5":["bool_var","q"]"#),
+            "",
+            &format!("{GUARDED_LITS},[5,1]"),
+            GUARDED_LOG,
+            &unsat_cert("1", 0, "[2],[3]", 2, "1"),
+        ));
+        assert!(
+            has(
+                &shared,
+                "guard term 1 shares literal variable 1 with term 5"
+            ),
+            "{:?}",
+            shared.errors
+        );
+    }
+
+    #[test]
+    fn rejects_a_guarded_clause_missing_from_blocking() {
+        let bad = check(&proc_doc(
+            GUARDED,
+            "",
+            GUARDED_LITS,
+            GUARDED_LOG,
+            &unsat_cert("1", 0, "[2]", 2, "1"),
+        ));
+        assert!(
+            has(&bad, "cert 0: blocking clauses do not match the 2 clause(s) guarded by assumed guard(s) [1]"),
+            "{:?}",
+            bad.errors
+        );
+        let unguarded = check(&proc_doc(
+            GUARDED,
+            "",
+            GUARDED_LITS,
+            GUARDED_LOG,
+            &unsat_cert("", 0, "[2],[3]", 2, ""),
+        ));
+        assert!(has(
+            &unguarded,
+            "declares 2 blocking clause(s) but assumes no guard"
+        ));
+    }
+
+    #[test]
+    fn rejects_a_decreasing_log_upto() {
+        let certs = format!(
+            "{},{}",
+            unsat_cert("", 2, "", 2, ""),
+            unsat_cert("", 2, "", 1, "")
+        );
+        let bad = check(&proc_doc(
+            B_NOT_B,
+            "1,2",
+            "[1,1],[2,-1]",
+            r#"["input",[1],["assert",1]],["input",[-1],["assert",2]]"#,
+            &certs,
+        ));
+        assert!(
+            has(
+                &bad,
+                "cert 1: log_upto 1 decreases: an earlier certificate reached 2"
+            ),
+            "{:?}",
+            bad.errors
+        );
+    }
+
+    #[test]
+    fn rejects_an_assert_event_beyond_asserts_upto() {
+        let bad = check(&proc_doc(
+            B_NOT_B,
+            "1,2",
+            "[1,1],[2,-1]",
+            r#"["input",[1],["assert",1]],["input",[-1],["assert",2]]"#,
+            &unsat_cert("", 1, "", 2, ""),
+        ));
+        assert!(
+            has(
+                &bad,
+                "cert 0: log event 1 asserts stream position 1, beyond asserts_upto 1"
+            ),
+            "{:?}",
+            bad.errors
+        );
+    }
+
+    #[test]
+    fn rejects_a_core_that_needs_a_later_log_event() {
+        // `b` is asserted; the theory clause (¬b ∨ ¬c) makes the core
+        // {c} conflict, but only from log event 1 on.
+        let doc = |log_upto: usize| {
+            proc_doc(
+                r#""1":["bool_var","b"],"2":["bool_var","c"]"#,
+                "1",
+                "[1,1],[2,2]",
+                r#"["input",[1],["assert",1]],["input",[-1,-2],["theory",[[1,false],[2,false]]]]"#,
+                &unsat_cert("2", 1, "", log_upto, "2"),
+            )
+        };
+        let good = check(&doc(2));
+        assert!(good.ok(), "unexpected errors: {:?}", good.errors);
+        let early = check(&doc(1));
+        assert!(
+            has(
+                &early,
+                "cert 0: final core does not propagate to a conflict at log_upto 1"
+            ),
+            "{:?}",
+            early.errors
+        );
+        // The unreached event is still validated.
+        assert_eq!(early.errors.len(), 1, "{:?}", early.errors);
+    }
+
+    #[test]
+    fn check_value_matches_check_document() {
+        let text = unsat_doc("1", "");
+        let v = json::parse(&text).expect("valid JSON");
+        let (a, b) = (check_value(&v), check_document(&text));
+        assert_eq!((a.procs, a.certs, a.errors), (b.procs, b.certs, b.errors));
     }
 
     #[test]
@@ -888,9 +1251,12 @@ mod tests {
         // A 2-cube cover weakened once: root {0,1} minus 1 → spec {0}.
         let doc = |spec: &str| {
             format!(
-                r#"{{"schema_version":3,"procs":[{{"proc_name":"f",
+                r#"{{"schema_version":4,"procs":[{{"proc_name":"f",
                    "terms":{{"1":["bool_var","p"],"2":["not",1]}},
                    "asserts":[],
+                   "lits":[[1,1]],
+                   "log":[["input",[1],["theory",[[1,true]]]],
+                          ["input",[-1],["theory",[[1,false]]]]],
                    "certs":[{{"assumptions":[1],"asserts_upto":0,"blocking":[],
                               "outcome":"sat",
                               "model":{{"ints":{{}},"bools":{{"p":true}},"maps":{{}},"funcs":{{}}}},
@@ -900,11 +1266,7 @@ mod tests {
                               "model":{{"ints":{{}},"bools":{{}},"maps":{{}},"funcs":{{}}}},
                               "self_checked":true}},
                              {{"assumptions":[],"asserts_upto":0,"blocking":[],
-                              "outcome":"unsat",
-                              "proof":{{"lits":[[1,1]],
-                                        "events":[["input",[1],["theory",[[1,true]]]],
-                                                  ["input",[-1],["theory",[[1,false]]]]],
-                                        "core":[]}},
+                              "outcome":"unsat","log_upto":2,"core":[],
                               "self_checked":true}}],
                    "claims":[{{"label":"A1","kind":"cube_feasible","expect":"sat","cube":0,"lits":[1],"cert":0}},
                              {{"label":"A1","kind":"cube_feasible","expect":"sat","cube":1,"lits":[-1],"cert":1}}],
@@ -918,6 +1280,6 @@ mod tests {
         assert_eq!(good.chains, 1);
         // Wrong spec: final subset is {0}, not {1}.
         let bad = check(&doc("1"));
-        assert!(bad.errors.iter().any(|e| e.contains("spec does not match")));
+        assert!(has(&bad, "spec does not match"));
     }
 }

@@ -24,7 +24,13 @@ use acspec_ir::locs::LocId;
 use acspec_ir::stmt::AssertId;
 use acspec_vcgen::{CertEvent, CertOutcome, CertStore, CertTag, QueryCert, TermNode};
 
-use crate::report::REPORT_SCHEMA_VERSION;
+/// Version of the certificate sidecar layout (`--certs-out`).
+/// History: `3` — one replay solver and proof log per certificate; `4`
+/// — one shared `lits` table and append-only `log` per procedure, with
+/// `unsat` certificates referencing a log prefix (`log_upto`) and ALL-SAT
+/// blocking clauses guarded. Reports keep their own
+/// [`REPORT_SCHEMA_VERSION`](crate::report::REPORT_SCHEMA_VERSION).
+pub const CERTS_SCHEMA_VERSION: u32 = 4;
 
 /// What a claim asserts about the program, keyed to the report field it
 /// backs.
@@ -258,8 +264,21 @@ fn tag_json(tag: &CertTag) -> String {
             "[\"theory\",[{}]]",
             join(parts, |(t, p)| format!("[{t},{p}]"))
         ),
-        CertTag::External { parts } => {
-            format!("[\"external\",[{}]]", join(parts, u32::to_string))
+        CertTag::Guarded { guard, parts } => {
+            format!("[\"guarded\",{guard},[{}]]", join(parts, u32::to_string))
+        }
+    }
+}
+
+fn event_json(event: &CertEvent) -> String {
+    match event {
+        CertEvent::Input { lits, tag } => format!(
+            "[\"input\",[{}],{}]",
+            join(lits, i64::to_string),
+            tag_json(tag)
+        ),
+        CertEvent::Learnt { lits } => {
+            format!("[\"learnt\",[{}]]", join(lits, i64::to_string))
         }
     }
 }
@@ -331,25 +350,10 @@ fn cert_json(cert: &QueryCert) -> String {
             );
         }
         CertOutcome::Unsat(proof) => {
-            let lits = proof
-                .lits
-                .iter()
-                .map(|(t, l)| format!("[{t},{l}]"))
-                .collect::<Vec<_>>()
-                .join(",");
-            let events = join(&proof.events, |e| match e {
-                CertEvent::Input { lits, tag } => format!(
-                    "[\"input\",[{}],{}]",
-                    join(lits, i64::to_string),
-                    tag_json(tag)
-                ),
-                CertEvent::Learnt { lits } => {
-                    format!("[\"learnt\",[{}]]", join(lits, i64::to_string))
-                }
-            });
             let _ = write!(
                 s,
-                ",\"proof\":{{\"lits\":[{lits}],\"events\":[{events}],\"core\":[{}]}}",
+                ",\"log_upto\":{},\"core\":[{}]",
+                proof.log_upto,
                 join(&proof.core, u32::to_string)
             );
         }
@@ -444,7 +448,7 @@ pub fn proc_certs_json(pc: &ProcCerts) -> String {
 /// yields the same bytes as an all-cold run.
 pub fn certs_json_from_fragments(fragments: &[String]) -> String {
     format!(
-        "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"procs\":[{}]}}\n",
+        "{{\"schema_version\":{CERTS_SCHEMA_VERSION},\"procs\":[{}]}}\n",
         fragments.join(",")
     )
 }
@@ -457,10 +461,18 @@ fn proc_json(pc: &ProcCerts) -> String {
         .map(|(id, node)| format!("\"{id}\":{}", term_json(node)))
         .collect::<Vec<_>>()
         .join(",");
+    let lits = pc
+        .store
+        .lits
+        .iter()
+        .map(|(t, l)| format!("[{t},{l}]"))
+        .collect::<Vec<_>>()
+        .join(",");
     format!(
-        "{{\"proc_name\":\"{}\",\"terms\":{{{terms}}},\"asserts\":[{}],\"certs\":[{}],\"claims\":[{}],\"chains\":[{}]}}",
+        "{{\"proc_name\":\"{}\",\"terms\":{{{terms}}},\"asserts\":[{}],\"lits\":[{lits}],\"log\":[{}],\"certs\":[{}],\"claims\":[{}],\"chains\":[{}]}}",
         esc(&pc.proc_name),
         join(&pc.store.asserts, u32::to_string),
+        join(&pc.store.log, event_json),
         join(&pc.store.certs, cert_json),
         join(&pc.claims, claim_json),
         join(&pc.chains, chain_json),
@@ -471,7 +483,7 @@ fn proc_json(pc: &ProcCerts) -> String {
 /// schema-versioned, one entry per certified procedure.
 pub fn certs_json(procs: &[ProcCerts]) -> String {
     format!(
-        "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"procs\":[{}]}}\n",
+        "{{\"schema_version\":{CERTS_SCHEMA_VERSION},\"procs\":[{}]}}\n",
         join(procs, proc_json)
     )
 }
@@ -498,7 +510,7 @@ mod tests {
             proc_name: "f".into(),
             ..ProcCerts::default()
         }]);
-        assert!(doc.starts_with(&format!("{{\"schema_version\":{REPORT_SCHEMA_VERSION}")));
+        assert!(doc.starts_with(&format!("{{\"schema_version\":{CERTS_SCHEMA_VERSION}")));
         assert!(doc.contains("\"proc_name\":\"f\""));
         // Parseable by the vendored serde_json (sanity only — the real
         // consumer is the independent acspec-check parser).

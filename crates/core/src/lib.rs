@@ -56,7 +56,7 @@ pub mod triage;
 
 pub use certs::{
     certs_json, certs_json_from_fragments, proc_certs_json, ChainRecord, ChainStepRecord, Claim,
-    ClaimKind, ProcCerts, StepEvidence,
+    ClaimKind, ProcCerts, StepEvidence, CERTS_SCHEMA_VERSION,
 };
 pub use config::{AcspecOptions, ConfigName, DeadMetric};
 pub use driver::{analyze_procedure, analyze_procedure_multi, cons_baseline, AcspecError};

@@ -67,8 +67,9 @@ use crate::session::ProcAnalysis;
 /// [`acspec_store::STORE_SCHEMA_VERSION`]). Mixed into [`entry_key`] and
 /// stamped into every payload: a layout change makes old entries
 /// unaddressable *and* undecodable, so stale stores degrade to misses,
-/// never to misreads.
-pub const PERSIST_VERSION: u32 = 1;
+/// never to misreads. History: `2` — stored certificate fragments use
+/// the schema-4 sidecar layout (one shared proof log per procedure).
+pub const PERSIST_VERSION: u32 = 2;
 
 /// The content-addressed key of one procedure's entry: SHA-256 over the
 /// procedure fingerprint and the options digest.
@@ -676,10 +677,27 @@ mod tests {
         let pa = &analyzed("procedure f(x: int) { assert x != 0; }")[0];
         let bytes = encode_analysis(pa).expect("encodable");
         let text = String::from_utf8(bytes).expect("utf8");
-        let skewed = text.replace("\"persist\":1", "\"persist\":999");
+        let stamp = format!("\"persist\":{PERSIST_VERSION}");
+        assert!(text.contains(&stamp));
+        let skewed = text.replace(&stamp, "\"persist\":999");
         assert!(decode_analysis(skewed.as_bytes()).is_none());
         assert!(decode_analysis(b"not json").is_none());
         assert!(decode_analysis(b"{\"persist\":1}").is_none());
+    }
+
+    /// Entries written before the schema-4 sidecar hold schema-3
+    /// certificate fragments: they must miss, never be spliced into a
+    /// newer sidecar.
+    #[test]
+    fn previous_version_payloads_miss() {
+        let pa = &analyzed("procedure f(x: int) { assert x != 0; }")[0];
+        let text = String::from_utf8(encode_analysis(pa).expect("encodable")).expect("utf8");
+        let stale = text.replace(
+            &format!("\"persist\":{PERSIST_VERSION}"),
+            &format!("\"persist\":{}", PERSIST_VERSION - 1),
+        );
+        assert_ne!(stale, text);
+        assert!(decode_analysis(stale.as_bytes()).is_none());
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl ProcSession {
     }
 
     /// Enables verdict certification: every claim a report surfaces is
-    /// backed by a fresh-solver-replay certificate in the session's
+    /// backed by a replay-solver certificate in the session's
     /// [`CertStore`](acspec_vcgen::CertStore). Certification runs off
     /// the query path (no budget, no chaos, no counters), so reports are
     /// byte-identical with it on.
@@ -1175,7 +1175,7 @@ impl ProcSession {
     }
 
     // -----------------------------------------------------------------
-    // Certification (all off the query path: fresh-solver replays that
+    // Certification (all off the query path: replay-solver queries that
     // charge no budget, draw no chaos, and bump no counters; and all
     // called *outside* `staged` closures so replay wall time never
     // reaches the stage tables).
@@ -1677,8 +1677,9 @@ impl<'p> ProgramAnalysis<'p> {
     }
 
     /// Whether every session certifies its verdicts (default `false`).
-    /// Certification replays queries against fresh solvers off the
-    /// budget/chaos/counter paths, so reports are byte-identical either
+    /// Certification replays queries against one replay solver per
+    /// procedure off the budget/chaos/counter paths, so reports are
+    /// byte-identical either
     /// way; each [`ProcAnalysis::certs`] then carries the evidence.
     #[must_use]
     pub fn certify(mut self, certify: bool) -> Self {

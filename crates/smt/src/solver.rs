@@ -23,8 +23,9 @@ use crate::term::{Ctx, Term, TermId, TermSort};
 /// `Assert`/`Purify` units are definitional conservative extensions,
 /// `Tseitin` clauses are forced by the term structure, `Theory` clauses
 /// are theory-valid (refute their negation with congruence closure plus
-/// Fourier–Motzkin), and `External` clauses are the caller's own
-/// (ALL-SAT blocking, validated against the cube log).
+/// Fourier–Motzkin), and `Guarded` clauses are the caller's own
+/// (ALL-SAT blocking, validated against the cube log), inert unless
+/// their guard literal is assumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClauseTag {
     /// Unit clause asserting a root term ([`Solver::assert_term`]).
@@ -55,9 +56,11 @@ pub enum ClauseTag {
         /// The clause, as (term, polarity) literals.
         parts: Vec<(TermId, bool)>,
     },
-    /// A caller-added clause over boolean terms
-    /// ([`Solver::add_clause_terms`]); used for ALL-SAT blocking.
-    External {
+    /// A caller-added clause `¬guard ∨ parts`
+    /// ([`Solver::add_guarded_clause`]); used for ALL-SAT blocking.
+    Guarded {
+        /// The fresh boolean variable guarding the clause.
+        guard: TermId,
         /// The clause part terms, as written.
         parts: Vec<TermId>,
     },
@@ -324,10 +327,25 @@ impl Solver {
         self.emit(&[l], || ClauseTag::Assert { term: t });
     }
 
-    /// Adds a clause of boolean terms.
+    /// Adds a clause of boolean terms. Not for proof mode, where every
+    /// clause needs provenance: use [`Solver::add_guarded_clause`].
     pub fn add_clause_terms(&mut self, ctx: &mut Ctx, parts: &[TermId]) {
+        debug_assert!(
+            self.proof_tags.is_none(),
+            "unguarded caller clauses have no proof provenance"
+        );
         let lits: Vec<Lit> = parts.iter().map(|&p| self.lit(ctx, p)).collect();
-        self.emit(&lits, || ClauseTag::External {
+        self.sat.add_clause(&lits);
+    }
+
+    /// Adds the clause `¬guard ∨ parts`: it constrains only queries
+    /// that assume `guard`, so one solver can answer queries with and
+    /// without it.
+    pub fn add_guarded_clause(&mut self, ctx: &mut Ctx, guard: TermId, parts: &[TermId]) {
+        let mut lits = vec![self.lit(ctx, guard).negated()];
+        lits.extend(parts.iter().map(|&p| self.lit(ctx, p)));
+        self.emit(&lits, || ClauseTag::Guarded {
+            guard,
             parts: parts.to_vec(),
         });
     }

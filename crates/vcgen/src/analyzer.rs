@@ -237,12 +237,14 @@ pub struct ProcAnalyzer {
     /// Memoized IR-term → solver-term translation against the fixed
     /// `input_env` (sound: the environment never changes post-encode).
     xlate_memo: std::collections::HashMap<IrTermId, TermId>,
-    /// Per-claim certificate store (`None` until
-    /// [`ProcAnalyzer::enable_certs`]). Certification replays queries
-    /// into fresh solvers *outside* the budget, deadline, chaos stream,
-    /// and query counters, so enabling it never perturbs reported
-    /// results.
-    certs: Option<CertStore>,
+    /// Per-claim certificate store with its proof-logging replay solver
+    /// (`None` until [`ProcAnalyzer::enable_certs`]). The replay solver
+    /// sees only the base assertion stream, guarded blocking clauses
+    /// and certified queries, never the staged query path; its proof
+    /// log is the store's shared log. Certification runs *outside* the
+    /// budget, deadline, chaos stream, and query counters, so enabling
+    /// it never perturbs reported results.
+    certs: Option<(CertStore, Solver)>,
 }
 
 struct EncodeState {
@@ -996,17 +998,18 @@ impl ProcAnalyzer {
     }
 
     /// Enables per-claim certification. Certificates are built by
-    /// replaying queries into fresh proof-logging solvers against the
-    /// base assertion stream — the same mechanism
-    /// [`ProcAnalyzer::failure_witness`] uses — so they are a pure
-    /// function of the encoding and the claim, independent of the
-    /// dominance cache, the incremental solver's state, and any chaos
-    /// faults injected on the query path. Certification charges nothing
-    /// to the budget, deadline, chaos stream, or query counters:
-    /// enabling it leaves reported results byte-identical.
+    /// replaying queries into one proof-logging replay solver loaded
+    /// with the base assertion stream, so they are a deterministic
+    /// function of the procedure's certification sequence, independent
+    /// of the dominance cache, the incremental solver's state, and any
+    /// chaos faults injected on the query path. Certification charges
+    /// nothing to the budget, deadline, chaos stream, or query
+    /// counters: enabling it leaves reported results byte-identical.
     pub fn enable_certs(&mut self) {
         if self.certs.is_none() {
-            self.certs = Some(CertStore::new());
+            let mut solver = Solver::new();
+            solver.enable_proof();
+            self.certs = Some((CertStore::new(), solver));
         }
     }
 
@@ -1015,33 +1018,35 @@ impl ProcAnalyzer {
         self.certs.is_some()
     }
 
-    /// The certificate store built so far.
+    /// The certificate store built so far (its literal table is filled
+    /// by [`ProcAnalyzer::take_cert_store`]).
     pub fn cert_store(&self) -> Option<&CertStore> {
-        self.certs.as_ref()
+        self.certs.as_ref().map(|(store, _)| store)
     }
 
-    /// Takes ownership of the certificate store (disables further
+    /// Takes ownership of the certificate store, with its literal table
+    /// filled, and drops the replay solver (disables further
     /// certification until [`ProcAnalyzer::enable_certs`] again).
     pub fn take_cert_store(&mut self) -> Option<CertStore> {
-        self.certs.take()
+        let (mut store, solver) = self.certs.take()?;
+        store.record_lits(&solver);
+        Some(store)
     }
 
-    /// Certifies the query `base ∧ blocking ∧ assumptions` by fresh
-    /// replay and returns the certificate's index in the store, or
-    /// `None` when certification is disabled. Deduplicated by canonical
-    /// assumption key: a claim answered by the dominance cache
-    /// references the certificate of the originating query rather than
-    /// fabricating a new one.
+    /// Certifies the query `base ∧ blocking ∧ assumptions` by replay
+    /// and returns the certificate's index in the store, or `None` when
+    /// certification is disabled. Deduplicated by canonical assumption
+    /// key: a claim answered by the dominance cache references the
+    /// certificate of the originating query rather than fabricating a
+    /// new one.
     pub fn certify_assumptions(
         &mut self,
         assumptions: &[TermId],
         blocking: &[Vec<TermId>],
     ) -> Option<usize> {
-        let mut store = self.certs.take()?;
+        let (store, solver) = self.certs.as_mut()?;
         let key = QueryCache::canonical(assumptions);
-        let idx = store.certify(&mut self.ctx, &self.base_asserts, &key, blocking);
-        self.certs = Some(store);
-        Some(idx)
+        Some(store.certify(&mut self.ctx, solver, &self.base_asserts, &key, blocking))
     }
 
     /// Certificate for [`ProcAnalyzer::is_reachable`] on `loc` (Sat =

@@ -3,30 +3,40 @@
 //!
 //! Every claim that surfaces in a report — a `Fail` warning, a `Dead`
 //! location, a predicate-cover cube, a weakening step — is backed by a
-//! [`QueryCert`] built from a *fresh-solver replay* of the query against
-//! the base assertion stream (the same mechanism
-//! [`failure_witness`](crate::ProcAnalyzer::failure_witness) already
-//! uses for deterministic witnesses). Replay-based certification keeps
-//! the incremental query plan untouched: certificates are produced
-//! outside the budget, the chaos stream, and the query counters, so a
-//! run with certification enabled reports byte-identical results.
+//! [`QueryCert`] built by *replaying* the query into the procedure's
+//! proof-logging replay solver, which holds the base assertion stream
+//! and nothing from the staged query path. Replay-based certification
+//! keeps the incremental query plan untouched: certificates are
+//! produced outside the budget, the chaos stream, and the query
+//! counters, so a run with certification enabled reports byte-identical
+//! results.
 //!
 //! A satisfiable verdict carries a full first-order model: integer and
 //! boolean variable assignments plus finite-table-with-default
 //! interpretations for maps and uninterpreted functions, extracted so
 //! that structural evaluation of every asserted root yields *true*. An
-//! unsatisfiable verdict carries the solver's clause database with
-//! per-clause provenance tags ([`acspec_smt::ClauseTag`]), the learnt-
-//! clause trace (each learnt clause is a reverse-unit-propagation
-//! consequence of the events before it), and the assumption core — the
+//! unsatisfiable verdict carries a position `log_upto` in the
+//! procedure's one shared, append-only proof log plus the assumption
+//! core: the log's input clauses carry provenance tags
+//! ([`acspec_smt::ClauseTag`]), every learnt clause is a
+//! reverse-unit-propagation consequence of the events before it, and
+//! the core propagates to a conflict against `log[..log_upto]` — the
 //! raw material an independent checker replays without trusting the
-//! engine.
+//! engine. Each clause is therefore encoded, logged and checked once
+//! per procedure, not once per certificate.
+//!
+//! ALL-SAT blocking clauses enter the shared solver guarded: a fresh
+//! boolean `g` per exhaustion query, clauses `¬g ∨ C`, and `g` among
+//! that certificate's assumptions. Every other query leaves `g`
+//! unassumed, so the guarded clauses are inert for it.
 //!
 //! Certificates within one procedure share a term table (terms are
 //! hash-consed per analyzer, so ids are stable) and are deduplicated by
 //! canonical assumption key: a dominance-cache hit references the same
 //! certificate as the query that originally populated the cache entry,
 //! so cache hits *replay or reference* evidence, never fabricate it.
+//! Certificates are a deterministic function of the procedure's
+//! certification sequence.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -154,21 +164,22 @@ pub enum CertTag {
         /// The clause parts.
         parts: Vec<(u32, bool)>,
     },
-    /// Caller-added blocking clause over terms.
-    External {
+    /// Caller blocking clause `¬guard ∨ parts`.
+    Guarded {
+        /// The fresh guard variable term.
+        guard: u32,
         /// The clause part terms.
         parts: Vec<u32>,
     },
 }
 
-/// Proof evidence for an `Unsat` verdict.
+/// Proof evidence for an `Unsat` verdict: a prefix of the procedure's
+/// shared proof log ([`CertStore::log`]) and the blamed core.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProofData {
-    /// Term → signed Tseitin literal, for every serialized boolean term
-    /// the replay solver encoded.
-    pub lits: BTreeMap<u32, i64>,
-    /// The interleaved input/learnt event log, in chronological order.
-    pub events: Vec<CertEvent>,
+    /// How many log events the verdict rests on: the core propagates
+    /// to a conflict against `log[..log_upto]`.
+    pub log_upto: usize,
     /// The assumption terms responsible for unsatisfiability (a subset
     /// of the certificate's assumptions; empty = clauses alone).
     pub core: Vec<u32>,
@@ -201,12 +212,14 @@ impl CertOutcome {
 /// stream, plus optional blocking clauses) and its evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryCert {
-    /// Assumption term ids (canonically sorted).
+    /// Assumption term ids (canonically sorted, then the blocking guard
+    /// when there are blocking clauses).
     pub assumptions: Vec<u32>,
     /// How many of the store's base asserts were installed when this
     /// query was certified (the replay asserts exactly that prefix).
     pub asserts_upto: usize,
-    /// Extra clauses (ALL-SAT blocking), as term-id lists.
+    /// Extra clauses (ALL-SAT blocking), as term-id lists: exactly the
+    /// clauses the assumed guard enables.
     pub blocking: Vec<Vec<u32>>,
     /// The verdict and its evidence.
     pub outcome: CertOutcome,
@@ -216,13 +229,20 @@ pub struct QueryCert {
 }
 
 /// The per-procedure certificate store: a shared term table, the base
-/// assert stream, and deduplicated certificates.
+/// assert stream, the shared proof log with its literal table, and
+/// deduplicated certificates.
 #[derive(Debug, Clone, Default)]
 pub struct CertStore {
     /// Serialized term nodes, by term id.
     pub terms: BTreeMap<u32, TermNode>,
     /// Base assert root term ids, in installation order.
     pub asserts: Vec<u32>,
+    /// Term → signed Tseitin literal of the replay solver, for every
+    /// serialized term it encoded (filled by [`CertStore::record_lits`]).
+    pub lits: BTreeMap<u32, i64>,
+    /// The replay solver's interleaved input/learnt event log, in
+    /// chronological order; `Unsat` certificates reference prefixes.
+    pub log: Vec<CertEvent>,
     /// The certificates.
     pub certs: Vec<QueryCert>,
     /// Memo: canonical (assumptions, blocking) → certificate index.
@@ -335,13 +355,6 @@ impl CertStore {
         self.terms.insert(t.0, node);
     }
 
-    /// Records a base assert root (mirrors the analyzer's
-    /// `base_asserts` stream).
-    pub fn push_assert(&mut self, ctx: &Ctx, t: TermId) {
-        self.intern_term(ctx, t);
-        self.asserts.push(t.0);
-    }
-
     /// Looks up a memoized certificate for the canonical query key.
     pub fn lookup(&self, assumptions: &[TermId], blocking: &[Vec<TermId>]) -> Option<usize> {
         self.memo
@@ -349,13 +362,19 @@ impl CertStore {
             .copied()
     }
 
-    /// Certifies the query by fresh replay of `base_asserts[..upto]`
-    /// plus `blocking` under `assumptions` (already canonical), and
-    /// returns the certificate index. Deduplicated by query key.
-    #[allow(clippy::too_many_arguments)]
+    /// Certifies the query `base_asserts ∧ blocking ∧ assumptions`
+    /// (assumptions already canonical) against `solver`, the
+    /// procedure's proof-logging replay solver, and returns the
+    /// certificate index. Deduplicated by query key.
+    ///
+    /// `solver` must be the one solver every earlier call on this store
+    /// used, created with proof logging on: it already holds
+    /// `base_asserts[..self.asserts.len()]`, and its proof log is
+    /// `self.log`.
     pub fn certify(
         &mut self,
         ctx: &mut Ctx,
+        solver: &mut Solver,
         base_asserts: &[TermId],
         assumptions: &[TermId],
         blocking: &[Vec<TermId>],
@@ -363,98 +382,48 @@ impl CertStore {
         if let Some(i) = self.lookup(assumptions, blocking) {
             return i;
         }
-        for &t in base_asserts {
+        debug_assert!(
+            base_asserts.len() >= self.asserts.len(),
+            "the base assert stream only grows"
+        );
+        for &t in &base_asserts[self.asserts.len()..] {
             self.intern_term(ctx, t);
-        }
-        while self.asserts.len() < base_asserts.len() {
-            self.asserts.push(base_asserts[self.asserts.len()].0);
-        }
-        for cl in blocking {
-            for &t in cl {
-                self.intern_term(ctx, t);
-            }
-        }
-        for &t in assumptions {
-            self.intern_term(ctx, t);
-        }
-
-        let mut solver = Solver::new();
-        solver.enable_proof();
-        for &t in base_asserts {
+            self.asserts.push(t.0);
             solver.assert_term(ctx, t);
         }
-        for cl in blocking {
-            solver.add_clause_terms(ctx, cl);
-        }
-        let result = solver.check(ctx, assumptions);
-
-        // Tag payloads can mention terms created inside the solver
-        // (purified atoms, branch-lemma bounds): serialize those too.
-        let tags: Vec<ClauseTag> = solver.clause_tags().to_vec();
-        for tag in &tags {
-            match tag {
-                ClauseTag::Assert { term } => self.intern_term(ctx, *term),
-                ClauseTag::Purify { term, ite, var } => {
-                    self.intern_term(ctx, *term);
-                    self.intern_term(ctx, *ite);
-                    self.intern_term(ctx, *var);
-                }
-                ClauseTag::Tseitin { term } => self.intern_term(ctx, *term),
-                ClauseTag::Theory { parts } => {
-                    for &(t, _) in parts {
-                        self.intern_term(ctx, t);
-                    }
-                }
-                ClauseTag::External { parts } => {
-                    for &t in parts {
-                        self.intern_term(ctx, t);
-                    }
-                }
+        let mut assumed = assumptions.to_vec();
+        if !blocking.is_empty() {
+            let guard = ctx.fresh_bool_var("block");
+            for cl in blocking {
+                solver.add_guarded_clause(ctx, guard, cl);
             }
+            assumed.push(guard);
         }
+        for &t in blocking.iter().flatten().chain(&assumed) {
+            self.intern_term(ctx, t);
+        }
+
+        let result = solver.check(ctx, &assumed);
+        self.record_log(ctx, solver);
 
         let outcome = match result {
             SmtResult::Sat => {
-                let roots: Vec<TermId> = base_asserts
-                    .iter()
-                    .chain(assumptions.iter())
-                    .copied()
-                    .collect();
-                let model = extract_model(ctx, &solver, &roots);
-                CertOutcome::Sat(model)
+                let roots: Vec<TermId> = base_asserts.iter().chain(&assumed).copied().collect();
+                CertOutcome::Sat(extract_model(ctx, solver, &roots))
             }
-            SmtResult::Unsat => {
-                let core: Vec<u32> = solver
-                    .unsat_core_terms(assumptions)
+            SmtResult::Unsat => CertOutcome::Unsat(ProofData {
+                log_upto: self.log.len(),
+                core: solver
+                    .unsat_core_terms(&assumed)
                     .iter()
                     .map(|t| t.0)
-                    .collect();
-                let mut lits = BTreeMap::new();
-                for (t, l) in solver.lit_table() {
-                    if self.terms.contains_key(&t.0) {
-                        lits.insert(t.0, lit_signed(l));
-                    }
-                }
-                let events = solver
-                    .proof_events()
-                    .iter()
-                    .map(|e| match e {
-                        ProofEvent::Input { lits, tag } => CertEvent::Input {
-                            lits: lits.iter().map(|&l| lit_signed(l)).collect(),
-                            tag: serialize_tag(&tags, *tag),
-                        },
-                        ProofEvent::Learnt { lits } => CertEvent::Learnt {
-                            lits: lits.iter().map(|&l| lit_signed(l)).collect(),
-                        },
-                    })
-                    .collect();
-                CertOutcome::Unsat(ProofData { lits, events, core })
-            }
+                    .collect(),
+            }),
             SmtResult::Unknown => CertOutcome::Unknown,
         };
 
-        let cert = QueryCert {
-            assumptions: assumptions.iter().map(|t| t.0).collect(),
+        let mut cert = QueryCert {
+            assumptions: assumed.iter().map(|t| t.0).collect(),
             asserts_upto: base_asserts.len(),
             blocking: blocking
                 .iter()
@@ -463,13 +432,88 @@ impl CertStore {
             outcome,
             self_checked: false,
         };
-        let mut cert = cert;
         cert.self_checked = self.self_check(&cert);
         let idx = self.certs.len();
         self.certs.push(cert);
         self.memo
             .insert((assumptions.to_vec(), blocking.to_vec()), idx);
         idx
+    }
+
+    /// Appends the replay solver's proof events since the last call to
+    /// the shared log. Tag payloads can mention terms created inside
+    /// the solver (purified atoms, branch-lemma bounds): those are
+    /// serialized too.
+    fn record_log(&mut self, ctx: &Ctx, solver: &Solver) {
+        let tags = solver.clause_tags();
+        for event in &solver.proof_events()[self.log.len()..] {
+            let event = match event {
+                ProofEvent::Input { lits, tag } => {
+                    let tag = tags
+                        .get(*tag as usize)
+                        .expect("every proof-mode clause carries a tag");
+                    CertEvent::Input {
+                        lits: lits.iter().map(|&l| lit_signed(l)).collect(),
+                        tag: self.serialize_tag(ctx, tag),
+                    }
+                }
+                ProofEvent::Learnt { lits } => CertEvent::Learnt {
+                    lits: lits.iter().map(|&l| lit_signed(l)).collect(),
+                },
+            };
+            self.log.push(event);
+        }
+    }
+
+    fn serialize_tag(&mut self, ctx: &Ctx, tag: &ClauseTag) -> CertTag {
+        match tag {
+            ClauseTag::Assert { term } => {
+                self.intern_term(ctx, *term);
+                CertTag::Assert { term: term.0 }
+            }
+            ClauseTag::Purify { term, ite, var } => {
+                for t in [term, ite, var] {
+                    self.intern_term(ctx, *t);
+                }
+                CertTag::Purify {
+                    term: term.0,
+                    ite: ite.0,
+                    var: var.0,
+                }
+            }
+            ClauseTag::Tseitin { term } => {
+                self.intern_term(ctx, *term);
+                CertTag::Tseitin { term: term.0 }
+            }
+            ClauseTag::Theory { parts } => {
+                for &(t, _) in parts {
+                    self.intern_term(ctx, t);
+                }
+                CertTag::Theory {
+                    parts: parts.iter().map(|&(t, p)| (t.0, p)).collect(),
+                }
+            }
+            ClauseTag::Guarded { guard, parts } => {
+                for &t in std::iter::once(guard).chain(parts) {
+                    self.intern_term(ctx, t);
+                }
+                CertTag::Guarded {
+                    guard: guard.0,
+                    parts: parts.iter().map(|t| t.0).collect(),
+                }
+            }
+        }
+    }
+
+    /// Fills the literal table from the replay solver: every serialized
+    /// term the solver encoded. Call once certification is over (terms
+    /// and literals only accumulate, so the last call sees them all).
+    pub(crate) fn record_lits(&mut self, solver: &Solver) {
+        for (t, l) in solver.lit_table() {
+            if self.terms.contains_key(&t.0) {
+                self.lits.insert(t.0, lit_signed(l));
+            }
+        }
     }
 
     /// Engine-side re-evaluation of a certificate against its own
@@ -488,25 +532,6 @@ impl CertStore {
             }
             _ => true,
         }
-    }
-}
-
-fn serialize_tag(tags: &[ClauseTag], idx: u32) -> CertTag {
-    match tags.get(idx as usize) {
-        None => CertTag::External { parts: Vec::new() },
-        Some(ClauseTag::Assert { term }) => CertTag::Assert { term: term.0 },
-        Some(ClauseTag::Purify { term, ite, var }) => CertTag::Purify {
-            term: term.0,
-            ite: ite.0,
-            var: var.0,
-        },
-        Some(ClauseTag::Tseitin { term }) => CertTag::Tseitin { term: term.0 },
-        Some(ClauseTag::Theory { parts }) => CertTag::Theory {
-            parts: parts.iter().map(|&(t, p)| (t.0, p)).collect(),
-        },
-        Some(ClauseTag::External { parts }) => CertTag::External {
-            parts: parts.iter().map(|t| t.0).collect(),
-        },
     }
 }
 

@@ -1,12 +1,12 @@
-//! Certification sanity: fresh-replay certificates carry evidence that
+//! Certification sanity: replay certificates carry evidence that
 //! matches the incremental verdicts, self-check under their own
-//! serialized data, and are shared (not fabricated) across
-//! dominance-cache hits.
+//! serialized data, are shared (not fabricated) across dominance-cache
+//! hits, and reference one shared proof log per procedure.
 
 use acspec_ir::parse::{parse_formula, parse_program};
 use acspec_ir::{desugar_procedure, DesugarOptions, DesugaredProc};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
-use acspec_vcgen::evidence::CertOutcome;
+use acspec_vcgen::evidence::{CertEvent, CertOutcome, CertTag};
 
 fn desugared(src: &str) -> DesugaredProc {
     let prog = parse_program(src).expect("parses");
@@ -62,7 +62,8 @@ fn unsat_cert_carries_core_and_proof() {
     let cert = &store.certs[idx];
     match &cert.outcome {
         CertOutcome::Unsat(proof) => {
-            assert!(!proof.events.is_empty(), "clause log must be present");
+            assert!(proof.log_upto > 0, "the proof rests on a log prefix");
+            assert!(proof.log_upto <= store.log.len());
             for c in &proof.core {
                 assert!(
                     cert.assumptions.contains(c),
@@ -117,4 +118,55 @@ fn certification_does_not_perturb_counters() {
     az.certify_can_fail(a, &[]).expect("certs enabled");
     assert_eq!(az.queries, queries, "certification is off the query path");
     assert_eq!(az.budget_left(), budget, "certification is budget-free");
+}
+
+#[test]
+fn certificates_share_one_log_and_guard_blocking_clauses() {
+    let d = desugared(
+        "procedure f(x: int) {
+           if (x > 0) { assert x != 3; }
+           assert x != 9;
+         }",
+    );
+    let mut az = analyzer(&d);
+    let (a0, a1) = (az.assertions()[0], az.assertions()[1]);
+    let first = az.certify_can_fail(a0, &[]).expect("certs enabled");
+    let second = az.certify_can_fail(a1, &[]).expect("certs enabled");
+    // Block both cubes over one predicate: the exhaustion query becomes
+    // unsat, but only under its guard.
+    let pred = parse_formula("x > 0").expect("parses");
+    let ind = az.add_indicator_formula(&pred).expect("inputs");
+    let not_ind = az.ctx.mk_not(ind);
+    let blocking = vec![vec![ind], vec![not_ind]];
+    let exhausted = az
+        .certify_any_failure(&[], &[], &blocking)
+        .expect("certs enabled");
+    let store = az.take_cert_store().expect("enabled");
+    assert_eq!((first, second, exhausted), (0, 1, 2));
+    assert!(matches!(store.certs[first].outcome, CertOutcome::Sat(_)));
+    assert!(matches!(store.certs[second].outcome, CertOutcome::Sat(_)));
+    let cert = &store.certs[exhausted];
+    let CertOutcome::Unsat(proof) = &cert.outcome else {
+        panic!("blocked exhaustion must be unsat");
+    };
+    // The guard is the one assumption beyond `fail_any`, and the log
+    // holds one guarded clause per blocking clause.
+    let guard = *cert.assumptions.last().expect("guard assumed");
+    let inputs = |upto: usize, tagged: fn(&CertTag, u32) -> bool| {
+        store.log[..upto]
+            .iter()
+            .filter(|e| matches!(e, CertEvent::Input { tag, .. } if tagged(tag, guard)))
+            .count()
+    };
+    let guarded = inputs(
+        proof.log_upto,
+        |tag, guard| matches!(tag, CertTag::Guarded { guard: g, .. } if *g == guard),
+    );
+    assert_eq!(guarded, blocking.len());
+    assert!(store.lits.contains_key(&guard), "lits are filled on take");
+    // One log for the procedure: no base-assert clause is logged twice.
+    let asserts = inputs(store.log.len(), |tag, _| {
+        matches!(tag, CertTag::Assert { .. })
+    });
+    assert_eq!(asserts, store.asserts.len());
 }

@@ -264,8 +264,8 @@ fn run_check(args: &[String]) -> Result<bool, String> {
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     let top = acspec_check::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let (certs_path, certs_text) = if top.get("procs").is_some() {
-        (path.to_string(), text)
+    let (certs_path, summary) = if top.get("procs").is_some() {
+        (path.to_string(), acspec_check::check_value(&top))
     } else if top.get("reports").is_some() {
         let r = top.get("certs_ref").and_then(|v| v.str()).ok_or_else(|| {
             format!("{path}: report has no `certs_ref`; re-run the analysis with --certs-out")
@@ -276,13 +276,13 @@ fn run_check(args: &[String]) -> Result<bool, String> {
         let resolved = resolved.to_string_lossy().into_owned();
         let t = std::fs::read_to_string(&resolved)
             .map_err(|e| format!("{resolved}: cannot read certs_ref target: {e}"))?;
-        (resolved, t)
+        let summary = acspec_check::check_document(&t);
+        (resolved, summary)
     } else {
         return Err(format!(
             "{path}: neither a certificate document (`procs`) nor a report (`reports`)"
         ));
     };
-    let summary = acspec_check::check_document(&certs_text);
     println!(
         "{certs_path}: {} procedure(s), {} certificate(s) ({} sat, {} unsat), \
          {} claim(s), {} chain(s)",

@@ -1,7 +1,8 @@
 //! End-to-end certificate tests: the analysis produces `--certs-out`
 //! documents that the independent `acspec-check` crate accepts in full,
-//! and single-field mutations (a flipped model bit, a negated proof
-//! literal, a dropped blocking clause) are rejected.
+//! and single-field mutations (a flipped model bit, a negated literal in
+//! a procedure's shared proof log, a guarded clause missing from its
+//! certificate's blocking list) are rejected.
 //!
 //! The producer and the checker share no code — `acspec-check` has no
 //! dependencies at all — so these tests exercise the whole trust chain:
@@ -103,18 +104,22 @@ fn flip_model_bit(certs: &mut [ProcCerts]) -> bool {
 }
 
 /// Negates the first literal of the first non-empty input clause in the
-/// first `Unsat` proof.
+/// shared proof log of the first procedure with an `Unsat` certificate.
 fn negate_proof_lit(certs: &mut [ProcCerts]) -> bool {
     for pc in certs.iter_mut() {
-        for c in &mut pc.store.certs {
-            if let CertOutcome::Unsat(p) = &mut c.outcome {
-                for e in &mut p.events {
-                    if let CertEvent::Input { lits, .. } = e {
-                        if let Some(l) = lits.first_mut() {
-                            *l = -*l;
-                            return true;
-                        }
-                    }
+        let proved = pc
+            .store
+            .certs
+            .iter()
+            .any(|c| matches!(c.outcome, CertOutcome::Unsat(_)));
+        if !proved {
+            continue;
+        }
+        for e in &mut pc.store.log {
+            if let CertEvent::Input { lits, .. } = e {
+                if let Some(l) = lits.first_mut() {
+                    *l = -*l;
+                    return true;
                 }
             }
         }
@@ -122,13 +127,15 @@ fn negate_proof_lit(certs: &mut [ProcCerts]) -> bool {
     false
 }
 
-/// Clears the blocking clauses of the first `Unsat` certificate that has
-/// any, so its external input clauses lose their provenance.
+/// Drops one clause from the blocking list of the first `Unsat`
+/// certificate that has any: its assumed guard still enables that
+/// clause in the shared log, so the claim no longer states everything
+/// the proof used.
 fn drop_blocking(certs: &mut [ProcCerts]) -> bool {
     for pc in certs.iter_mut() {
         for c in &mut pc.store.certs {
             if matches!(c.outcome, CertOutcome::Unsat(_)) && !c.blocking.is_empty() {
-                c.blocking.clear();
+                c.blocking.remove(0);
                 return true;
             }
         }
@@ -142,16 +149,25 @@ fn mutated_certificates_are_rejected() {
     assert!(check_document(&certs_json(&clean)).ok());
 
     type Mutator = fn(&mut [ProcCerts]) -> bool;
-    let mutations: [(&str, Mutator); 3] = [
-        ("model bit flip", flip_model_bit),
-        ("proof literal negation", negate_proof_lit),
-        ("blocking clause drop", drop_blocking),
+    let mutations: [(&str, Mutator, &str); 3] = [
+        ("model bit flip", flip_model_bit, "false under the model"),
+        ("proof literal negation", negate_proof_lit, "log event"),
+        (
+            "blocking clause drop",
+            drop_blocking,
+            "guarded by assumed guard",
+        ),
     ];
-    for (what, mutate) in mutations {
+    for (what, mutate, diagnostic) in mutations {
         let mut doc = clean.clone();
         assert!(mutate(&mut doc), "{what}: no mutation site found");
         let sum = check_document(&certs_json(&doc));
         assert!(!sum.ok(), "{what} must be detected");
+        assert!(
+            sum.errors.iter().any(|e| e.contains(diagnostic)),
+            "{what}: no `{diagnostic}` diagnostic in {:?}",
+            sum.errors
+        );
     }
 }
 
