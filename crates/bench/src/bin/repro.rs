@@ -87,7 +87,7 @@ use acspec_core::{
 use acspec_ir::arena::{Node, TermArena, TermId};
 use acspec_ir::{desugar_procedure, DesugarOptions, Formula};
 use acspec_store::{LoadResult, ResultStore};
-use acspec_telemetry::json::write_f64;
+use acspec_telemetry::json::{write_f64, write_str};
 use acspec_telemetry::{max_rss_kb, opt, Manifest, MetricsRegistry, Trace, Value};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
 use acspec_vcgen::chaos::ChaosConfig;
@@ -863,50 +863,35 @@ fn trace_diff(cli: &Cli) {
     print!("{}", d.format(&cli.files[0], &cli.files[1], cli.top));
 }
 
-/// Escapes a string for a JSON literal in the `--report` document.
-fn json_esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `repro corpus run --report <path>`: the per-scenario JSON report CI
 /// uploads as an artifact when the gate fails.
 fn corpus_report(verdicts: &[acspec_corpus::ScenarioVerdict]) -> String {
     let mut s = String::from("{\n  \"schema\": 1,\n  \"scenarios\": [");
     for (i, v) in verdicts.iter().enumerate() {
         s.push_str(if i == 0 { "\n" } else { ",\n" });
-        let failures = v
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_esc(f)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let store_incidents = v
-            .store_incidents
-            .iter()
-            .map(|f| format!("\"{}\"", json_esc(f)))
-            .collect::<Vec<_>>()
-            .join(", ");
+        s.push_str("    {\"name\": ");
+        write_str(&mut s, &v.name);
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ok\": {}, \"warnings\": {}, \"queries\": {}, \
-             \"wall_ms\": {}, \"failures\": [{}], \"store_incidents\": [{}]}}",
-            json_esc(&v.name),
+            ", \"ok\": {}, \"warnings\": {}, \"queries\": {}, \"wall_ms\": {}",
             v.ok(),
             v.produced.warnings.len(),
             v.queries,
             v.wall_ms,
-            failures,
-            store_incidents
         ));
+        for (key, items) in [
+            ("failures", &v.failures),
+            ("store_incidents", &v.store_incidents),
+        ] {
+            s.push_str(&format!(", \"{key}\": ["));
+            for (j, item) in items.iter().enumerate() {
+                if j > 0 {
+                    s.push_str(", ");
+                }
+                write_str(&mut s, item);
+            }
+            s.push(']');
+        }
+        s.push('}');
     }
     if !verdicts.is_empty() {
         s.push_str("\n  ");

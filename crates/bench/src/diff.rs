@@ -9,13 +9,12 @@
 //! as the first path present in only one trace or whose solver-query
 //! outcome sequence differs.
 //!
-//! Parsing uses [`acspec_telemetry::json::parse`] (the crate's own
-//! JSON reader), so the binary stays dependency-free.
+//! Parsing uses [`acspec_check::json::parse`], the workspace's one JSON
+//! reader.
 
 use std::collections::HashMap;
 
-use acspec_telemetry::json::parse;
-use acspec_telemetry::Json;
+use acspec_check::json::{parse, Value as Json};
 
 use crate::format_table;
 
@@ -58,10 +57,20 @@ fn name_attr(kind: &str) -> Option<&'static str> {
     }
 }
 
+/// A number as `f64`. The writer prints an integral float without a
+/// fraction (`2`, not `2.0`), which the reader yields as an `Int`.
+fn as_f64(v: &Json) -> Option<f64> {
+    match v {
+        Json::Int(i) => Some(*i as f64),
+        Json::Float(x) => Some(*x),
+        _ => None,
+    }
+}
+
 fn attr_u64(attrs: Option<&Json>, key: &str) -> u64 {
     attrs
         .and_then(|a| a.get(key))
-        .and_then(Json::as_u64)
+        .and_then(Json::u64)
         .unwrap_or(0)
 }
 
@@ -85,31 +94,27 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             continue;
         }
         let v = parse(line).map_err(|e| format!("line {}: {e}", n + 1))?;
-        match v.get("type").and_then(Json::as_str) {
+        match v.get("type").and_then(Json::str) {
             Some("trace") => {
                 out.command = v
                     .get("manifest")
                     .and_then(|m| m.get("command"))
-                    .and_then(Json::as_str)
+                    .and_then(Json::str)
                     .map(str::to_string);
             }
             Some("span") => {
                 let id = v
                     .get("id")
-                    .and_then(Json::as_u64)
+                    .and_then(Json::u64)
                     .ok_or_else(|| format!("line {}: span without an id", n + 1))?;
-                let kind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string();
+                let kind = v.get("kind").and_then(Json::str).unwrap_or("?").to_string();
                 let attrs = v.get("attrs");
                 let component = name_attr(&kind)
-                    .and_then(|a| attrs.and_then(|at| at.get(a)).and_then(Json::as_str))
+                    .and_then(|a| attrs.and_then(|at| at.get(a)).and_then(Json::str))
                     .map_or_else(|| kind.clone(), |name| format!("{kind} {name}"));
                 let parent_path = v
                     .get("parent")
-                    .and_then(Json::as_u64)
+                    .and_then(Json::u64)
                     .and_then(|p| index_of.get(&p))
                     .map(|&i| out.spans[i].path.clone());
                 let base = match parent_path {
@@ -127,7 +132,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                 out.spans.push(DiffSpan {
                     path,
                     kind,
-                    seconds: v.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
+                    seconds: v.get("seconds").and_then(as_f64).unwrap_or(0.0),
                     queries: attr_u64(attrs, "queries"),
                     cache_hits: attr_u64(attrs, "cache_hits"),
                     outcomes: Vec::new(),
@@ -137,7 +142,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             Some("event") => {
                 let Some(&i) = v
                     .get("span")
-                    .and_then(Json::as_u64)
+                    .and_then(Json::u64)
                     .and_then(|s| index_of.get(&s))
                 else {
                     continue; // event for a span we never saw
@@ -145,7 +150,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                 let attrs = v.get("attrs");
                 let outcome = attrs
                     .and_then(|a| a.get("outcome"))
-                    .and_then(Json::as_str)
+                    .and_then(Json::str)
                     .unwrap_or("?");
                 out.spans[i].outcomes.push(outcome.to_string());
                 out.spans[i].conflicts += attr_u64(attrs, "conflicts");
@@ -479,6 +484,19 @@ mod tests {
                 "program / procedure f / stage screen #2",
             ]
         );
+    }
+
+    /// The writer prints 2.0 seconds as `2`, which the reader yields as
+    /// an integer: it must still read back as 2.0, not fall to 0.
+    #[test]
+    fn integral_seconds_read_back() {
+        let mut b = TraceBuf::new();
+        b.push_span(None, "procedure", vec![("proc", "f".into())], 2.0);
+        let t = Trace::assemble("program", vec![], vec![b]).to_jsonl(None);
+        assert!(t.contains("\"seconds\":2}"), "{t}");
+        let parsed = parse_trace(&t).expect("parses");
+        let seconds: Vec<f64> = parsed.spans.iter().map(|s| s.seconds).collect();
+        assert_eq!(seconds, vec![2.0, 2.0]);
     }
 
     #[test]

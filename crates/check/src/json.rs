@@ -1,8 +1,14 @@
-//! A small, strict JSON parser — the checker's only input channel.
+//! A small, strict JSON parser — the checker's only input channel, and
+//! the workspace's one JSON reader.
 //!
-//! Independent of the engine's vendored serde on purpose: the
-//! certificate document is the trust boundary, and the checker must not
-//! share a parser (or its bugs) with the producer.
+//! The certificate document is the trust boundary. The engine writes it
+//! with its own code (`acspec_telemetry::json::write_str` and the
+//! emitters in `acspec-core`), never with this crate's, so the checker
+//! shares no writer with the producer it checks. The engine does read
+//! its own output back through this parser (store payloads, traces,
+//! corpus oracles), and the store refuses to cache a payload whose
+//! certificate fragment does not read back unchanged. Nesting depth is
+//! capped, so hostile input is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
 
@@ -59,6 +65,11 @@ impl Value {
             Value::Int(i) => Some(*i),
             _ => None,
         }
+    }
+
+    /// This value as a non-negative 64-bit integer.
+    pub fn u64(&self) -> Option<u64> {
+        self.int().and_then(|i| u64::try_from(i).ok())
     }
 
     /// This value as an unsigned 32-bit id.

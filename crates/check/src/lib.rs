@@ -622,17 +622,43 @@ fn check_blocking_guards(guards: &Guards, cert: &Cert) -> Vec<String> {
 // ---------------------------------------------------------------------
 
 /// Literal-table consistency, checked once per procedure: every entry
-/// names a term, and a negation's literal is the negated literal of its
-/// child (the engine never allocates a fresh variable for `Not`).
+/// names a term, a negation's literal is the negated literal of its
+/// child (the engine never allocates a fresh variable for `Not`), and
+/// no two terms of the kinds the engine gives a fresh variable share
+/// one — two Tseitin definitions over one variable would equate their
+/// terms. (`implies` shares its `or`'s variable, and purified atoms may
+/// share theirs.)
 fn check_lits(p: &Proc) -> Vec<String> {
     let mut errors = Vec::new();
+    // Literal variable -> the first fresh-variable term holding it.
+    let mut owner: HashMap<u64, (u32, &str)> = HashMap::new();
     for (&t, &l) in &p.lits {
         match p.terms.get(&t) {
             None => errors.push(format!("literal table references missing term {t}")),
             Some(Node::Not(a)) if p.lits.get(a) != Some(&-l) => errors.push(format!(
                 "literal of negation term {t} is not the negated literal of term {a}"
             )),
-            Some(_) => {}
+            Some(node) => {
+                let kind = match node {
+                    Node::And(_) => "and",
+                    Node::Or(_) => "or",
+                    Node::Iff(..) => "iff",
+                    Node::True => "true",
+                    Node::False => "false",
+                    Node::BoolVar(_) => "bool_var",
+                    _ => continue,
+                };
+                let var = l.unsigned_abs();
+                match owner.get(&var) {
+                    Some(&(first, first_kind)) => errors.push(format!(
+                        "terms {first} ({first_kind}) and {t} ({kind}) share literal variable \
+                         {var}, but each needs a fresh one"
+                    )),
+                    None => {
+                        owner.insert(var, (t, kind));
+                    }
+                }
+            }
         }
     }
     errors
@@ -1054,6 +1080,29 @@ mod tests {
             &bad,
             "log event 2: learnt clause is not a RUP consequence"
         ));
+    }
+
+    #[test]
+    fn rejects_fresh_terms_sharing_a_variable() {
+        let lits_check = |terms: &str, lits: &str| check(&proc_doc(terms, "", lits, "", ""));
+        let and_and = lits_check(
+            r#""1":["bool_var","a"],"2":["bool_var","b"],"3":["and",[1,2]],"4":["and",[2,1]]"#,
+            "[1,1],[2,2],[3,3],[4,-3]",
+        );
+        let want = "terms 3 (and) and 4 (and) share literal variable 3";
+        assert!(has(&and_and, want), "{:?}", and_and.errors);
+        let var_on_or = lits_check(
+            r#""1":["bool_var","a"],"2":["or",[1,4]],"3":["bool_var","c"],"4":["bool_var","b"]"#,
+            "[1,1],[2,2],[3,2],[4,4]",
+        );
+        let want = "terms 2 (or) and 3 (bool_var) share literal variable 2";
+        assert!(has(&var_on_or, want), "{:?}", var_on_or.errors);
+        // A negation and an implication share legitimately.
+        let shared = lits_check(
+            r#""1":["bool_var","a"],"2":["not",1],"3":["bool_var","b"],"4":["or",[2,3]],"5":["implies",1,3]"#,
+            "[1,1],[2,-1],[3,3],[4,4],[5,4]",
+        );
+        assert!(shared.ok(), "unexpected errors: {:?}", shared.errors);
     }
 
     #[test]

@@ -13,15 +13,17 @@
 //! `acspec-check` crate re-validates without sharing any code with this
 //! engine.
 //!
-//! The JSON writer here is hand-rolled (not serde): the document format
-//! is the contract with the independent checker, so the emission is kept
-//! explicit and deterministic (every map is ordered, every enum has a
-//! stable tag) rather than derived.
+//! The JSON is emitted by hand, with strings escaped by the workspace's
+//! one writer ([`write_str`]): the document format is the contract with
+//! the independent checker, so the emission is kept explicit and
+//! deterministic (every map is ordered, every enum has a stable tag)
+//! rather than derived.
 
 use std::fmt::Write as _;
 
 use acspec_ir::locs::LocId;
 use acspec_ir::stmt::AssertId;
+use acspec_telemetry::json::write_str;
 use acspec_vcgen::{CertEvent, CertOutcome, CertStore, CertTag, QueryCert, TermNode};
 
 /// Version of the certificate sidecar layout (`--certs-out`).
@@ -207,21 +209,10 @@ impl ProcCerts {
 // JSON emission
 // ---------------------------------------------------------------------
 
-pub(crate) fn esc(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    write_str(&mut out, s);
     out
 }
 
@@ -234,7 +225,7 @@ fn term_json(node: &TermNode) -> String {
     match node {
         TermNode::True => "[\"true\"]".into(),
         TermNode::False => "[\"false\"]".into(),
-        TermNode::BoolVar(n) => format!("[\"bool_var\",\"{}\"]", esc(n)),
+        TermNode::BoolVar(n) => format!("[\"bool_var\",{}]", quoted(n)),
         TermNode::Not(a) => format!("[\"not\",{a}]"),
         TermNode::And(ps) => format!("[\"and\",[{}]]", ids(ps)),
         TermNode::Or(ps) => format!("[\"or\",[{}]]", ids(ps)),
@@ -243,14 +234,14 @@ fn term_json(node: &TermNode) -> String {
         TermNode::Eq(a, b) => format!("[\"eq\",{a},{b}]"),
         TermNode::Le(a, b) => format!("[\"le\",{a},{b}]"),
         TermNode::Lt(a, b) => format!("[\"lt\",{a},{b}]"),
-        TermNode::IntVar(n) => format!("[\"int_var\",\"{}\"]", esc(n)),
+        TermNode::IntVar(n) => format!("[\"int_var\",{}]", quoted(n)),
         TermNode::IntConst(c) => format!("[\"int_const\",{c}]"),
         TermNode::Add(ps) => format!("[\"add\",[{}]]", ids(ps)),
         TermNode::MulC(c, a) => format!("[\"mulc\",{c},{a}]"),
-        TermNode::App(f, ps) => format!("[\"app\",\"{}\",[{}]]", esc(f), ids(ps)),
+        TermNode::App(f, ps) => format!("[\"app\",{},[{}]]", quoted(f), ids(ps)),
         TermNode::Read(m, i) => format!("[\"read\",{m},{i}]"),
         TermNode::Write(m, i, v) => format!("[\"write\",{m},{i},{v}]"),
-        TermNode::MapVar(n) => format!("[\"map_var\",\"{}\"]", esc(n)),
+        TermNode::MapVar(n) => format!("[\"map_var\",{}]", quoted(n)),
         TermNode::Ite(c, a, b) => format!("[\"ite\",{c},{a},{b}]"),
     }
 }
@@ -301,13 +292,13 @@ fn cert_json(cert: &QueryCert) -> String {
             let ints = model
                 .ints
                 .iter()
-                .map(|(n, v)| format!("\"{}\":{v}", esc(n)))
+                .map(|(n, v)| format!("{}:{v}", quoted(n)))
                 .collect::<Vec<_>>()
                 .join(",");
             let bools = model
                 .bools
                 .iter()
-                .map(|(n, v)| format!("\"{}\":{v}", esc(n)))
+                .map(|(n, v)| format!("{}:{v}", quoted(n)))
                 .collect::<Vec<_>>()
                 .join(",");
             let maps = model
@@ -315,8 +306,8 @@ fn cert_json(cert: &QueryCert) -> String {
                 .iter()
                 .map(|(n, mv)| {
                     format!(
-                        "\"{}\":{{\"default\":{},\"entries\":[{}]}}",
-                        esc(n),
+                        "{}:{{\"default\":{},\"entries\":[{}]}}",
+                        quoted(n),
                         mv.default,
                         mv.entries
                             .iter()
@@ -332,8 +323,8 @@ fn cert_json(cert: &QueryCert) -> String {
                 .iter()
                 .map(|(n, fv)| {
                     format!(
-                        "\"{}\":{{\"default\":{},\"entries\":[{}]}}",
-                        esc(n),
+                        "{}:{{\"default\":{},\"entries\":[{}]}}",
+                        quoted(n),
                         fv.default,
                         fv.entries
                             .iter()
@@ -365,14 +356,14 @@ fn cert_json(cert: &QueryCert) -> String {
 
 fn claim_json(claim: &Claim) -> String {
     let mut s = format!(
-        "{{\"label\":\"{}\",\"kind\":\"{}\",\"expect\":\"{}\"",
-        esc(&claim.label),
+        "{{\"label\":{},\"kind\":\"{}\",\"expect\":\"{}\"",
+        quoted(&claim.label),
         claim.kind.name(),
         claim.kind.expect()
     );
     match &claim.kind {
         ClaimKind::CanFail { assert, tag } | ClaimKind::CannotFail { assert, tag } => {
-            let _ = write!(s, ",\"assert\":\"{assert}\",\"tag\":\"{}\"", esc(tag));
+            let _ = write!(s, ",\"assert\":\"{assert}\",\"tag\":{}", quoted(tag));
         }
         ClaimKind::BaselineDead { loc } => {
             let _ = write!(s, ",\"loc\":{}", loc.0);
@@ -388,9 +379,9 @@ fn claim_json(claim: &Claim) -> String {
         ClaimKind::SpecFails { spec, assert, tag } | ClaimKind::SpecHolds { spec, assert, tag } => {
             let _ = write!(
                 s,
-                ",\"spec\":\"{}\",\"assert\":\"{assert}\",\"tag\":\"{}\"",
-                esc(spec),
-                esc(tag)
+                ",\"spec\":{},\"assert\":\"{assert}\",\"tag\":{}",
+                quoted(spec),
+                quoted(tag)
             );
         }
     }
@@ -420,8 +411,8 @@ fn evidence_json(ev: &StepEvidence) -> String {
 
 fn chain_json(chain: &ChainRecord) -> String {
     format!(
-        "{{\"label\":\"{}\",\"spec\":[{}],\"steps\":[{}]}}",
-        esc(&chain.label),
+        "{{\"label\":{},\"spec\":[{}],\"steps\":[{}]}}",
+        quoted(&chain.label),
         join(&chain.spec, u32::to_string),
         join(&chain.steps, |st| format!(
             "{{\"subset\":[{}],\"removed\":{},\"evidence\":{}}}",
@@ -469,8 +460,8 @@ fn proc_json(pc: &ProcCerts) -> String {
         .collect::<Vec<_>>()
         .join(",");
     format!(
-        "{{\"proc_name\":\"{}\",\"terms\":{{{terms}}},\"asserts\":[{}],\"lits\":[{lits}],\"log\":[{}],\"certs\":[{}],\"claims\":[{}],\"chains\":[{}]}}",
-        esc(&pc.proc_name),
+        "{{\"proc_name\":{},\"terms\":{{{terms}}},\"asserts\":[{}],\"lits\":[{lits}],\"log\":[{}],\"certs\":[{}],\"claims\":[{}],\"chains\":[{}]}}",
+        quoted(&pc.proc_name),
         join(&pc.store.asserts, u32::to_string),
         join(&pc.store.log, event_json),
         join(&pc.store.certs, cert_json),
@@ -512,15 +503,17 @@ mod tests {
         }]);
         assert!(doc.starts_with(&format!("{{\"schema_version\":{CERTS_SCHEMA_VERSION}")));
         assert!(doc.contains("\"proc_name\":\"f\""));
-        // Parseable by the vendored serde_json (sanity only — the real
-        // consumer is the independent acspec-check parser).
-        let v: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
-        assert_eq!(v["procs"][0]["claims"].as_array().map(Vec::len), Some(0));
+        let v = acspec_check::json::parse(&doc).expect("valid JSON");
+        let procs = v.get("procs").and_then(|p| p.arr()).expect("procs");
+        assert_eq!(
+            procs[0].get("claims").and_then(|c| c.arr()).map(<[_]>::len),
+            Some(0)
+        );
     }
 
     #[test]
-    fn strings_are_escaped() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn strings_are_quoted_and_escaped() {
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

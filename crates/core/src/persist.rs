@@ -14,9 +14,10 @@
 //! A warm hit must re-emit *byte-identical* reports, so the codec never
 //! stores anything lossily:
 //!
-//! * stage seconds are stored as `f64::to_bits()` (the vendored JSON
-//!   parser round-trips `u64` exactly; a decimal rendering would not
-//!   round-trip the float);
+//! * stage seconds are stored as `f64::to_bits()`: a decimal rendering
+//!   would not round-trip the float, while the reader keeps integers as
+//!   exact `i64`s and a non-negative `f64`'s bit pattern is below 2^63
+//!   (a negative time would fail the self-check below and go uncached);
 //! * specifications are stored in surface syntax and re-parsed with
 //!   [`parse_formula`]; [`encode_analysis`] refuses to cache any
 //!   procedure whose rendered specs do not round-trip (so a warm run
@@ -28,6 +29,11 @@
 //! * before saving, [`encode_analysis`] decodes its own output and
 //!   verifies the reconstruction renders byte-identically — a payload
 //!   that fails the self-check is simply not cached.
+//!
+//! Payloads are read with `acspec_check::json::parse`, the workspace's
+//! one JSON reader: strict, and capped in nesting depth, so a hostile
+//! payload behind a valid checksum decodes to a miss rather than
+//! overflowing the stack.
 //!
 //! ## Keys
 //!
@@ -43,18 +49,18 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
+use acspec_check::json::{self, Value};
 use acspec_ir::expr::Formula;
 use acspec_ir::parse::parse_formula;
 use acspec_ir::stmt::AssertId;
 use acspec_predabs::normalize::PruneConfig;
 use acspec_smt::{SolverCounters, TermId};
 use acspec_store::{sha256_hex, CorruptionKind, LoadResult, ResultStore, StoreStats};
+use acspec_telemetry::json::write_str;
 use acspec_vcgen::cache::CacheSnapshot;
 use acspec_vcgen::chaos::{ChaosConfig, ChaosStoreStats};
 use acspec_vcgen::stage::{Stage, StageTable};
-use serde_json::Value;
 
-use crate::certs::esc;
 use crate::config::{AcspecOptions, ConfigName};
 use crate::report::{
     AnalysisOutcome, Fallback, ProcReport, ProcStats, ReportLabel, SibStatus, Warning, Witness,
@@ -100,36 +106,26 @@ pub fn options_digest(
 }
 
 // ---------------------------------------------------------------------
-// Encoding (hand-emitted compact JSON; the vendored serde_json `Value`
-// has no serializer, and the repo's certificate sidecars already use
-// this idiom — see `certs.rs`).
+// Encoding (hand-emitted compact JSON, as the certificate sidecars in
+// `certs.rs` are).
 // ---------------------------------------------------------------------
-
-/// `esc` escapes content only; JSON string literals need the quotes.
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", esc(s))
-}
 
 fn push_witness(out: &mut String, w: &Witness) {
     out.push('{');
-    let mut first = true;
-    for (name, value) in w.iter() {
-        if !first {
+    for (i, (name, value)) in w.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        let _ = write!(out, "{}:{}", quoted(name), value);
+        write_str(out, name);
+        let _ = write!(out, ":{value}");
     }
     out.push('}');
 }
 
 fn push_warning(out: &mut String, w: &Warning) {
-    let _ = write!(
-        out,
-        "{{\"assert\":{},\"tag\":{},\"witness\":",
-        w.assert.0,
-        quoted(&w.tag)
-    );
+    let _ = write!(out, "{{\"assert\":{},\"tag\":", w.assert.0);
+    write_str(out, &w.tag);
+    out.push_str(",\"witness\":");
     match &w.witness {
         Some(witness) => push_witness(out, witness),
         None => out.push_str("null"),
@@ -166,16 +162,9 @@ fn push_stats(out: &mut String, s: &ProcStats) {
 /// rendering does not parse back to the same rendering — such a report
 /// cannot be reconstructed byte-identically, so it is never cached.
 fn push_report(out: &mut String, r: &ProcReport) -> Option<()> {
-    let _ = write!(
-        out,
-        "{{\"config\":{},\"status\":\"{}\"",
-        quoted(&r.config.to_string()),
-        match r.status {
-            SibStatus::Correct => "Correct",
-            SibStatus::Sib => "Sib",
-            SibStatus::MayBug => "MayBug",
-        }
-    );
+    out.push_str("{\"config\":");
+    write_str(out, &r.config.to_string());
+    let _ = write!(out, ",\"status\":\"{}\"", r.status.name());
     out.push_str(",\"warnings\":[");
     for (i, w) in r.warnings.iter().enumerate() {
         if i > 0 {
@@ -193,7 +182,7 @@ fn push_report(out: &mut String, r: &ProcReport) -> Option<()> {
         if reparsed.to_string() != rendered {
             return None;
         }
-        out.push_str(&quoted(&rendered));
+        write_str(out, &rendered);
     }
     let _ = write!(out, "],\"min_fail\":{},\"stats\":", r.min_fail);
     push_stats(out, &r.stats);
@@ -260,9 +249,9 @@ pub fn encode_analysis(pa: &ProcAnalysis) -> Option<Vec<u8>> {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"persist\":{PERSIST_VERSION},\"report_schema\":{REPORT_SCHEMA_VERSION},\"proc_name\":{}",
-        quoted(&pa.proc_name)
+        "{{\"persist\":{PERSIST_VERSION},\"report_schema\":{REPORT_SCHEMA_VERSION},\"proc_name\":"
     );
+    write_str(&mut out, &pa.proc_name);
     out.push_str(",\"cons\":");
     push_report(&mut out, &pa.cons)?;
     out.push_str(",\"reports\":[");
@@ -281,7 +270,7 @@ pub fn encode_analysis(pa: &ProcAnalysis) -> Option<Vec<u8>> {
     }
     out.push_str("],\"certs\":");
     match &pa.certs_fragment {
-        Some(fragment) => out.push_str(&quoted(fragment)),
+        Some(fragment) => write_str(&mut out, fragment),
         None => out.push_str("null"),
     }
     out.push_str(",\"antichains\":");
@@ -320,12 +309,8 @@ fn round_trips(cold: &ProcAnalysis, warm: &ProcAnalysis) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Decoding (via the vendored serde_json parser).
+// Decoding (via the checker's reader, `acspec_check::json`).
 // ---------------------------------------------------------------------
-
-fn get_u64(v: &Value, field: &str) -> Option<u64> {
-    v.get(field)?.as_u64()
-}
 
 fn stage_from_name(name: &str) -> Option<Stage> {
     Stage::ALL.iter().copied().find(|s| s.name() == name)
@@ -354,17 +339,17 @@ fn label_from_name(name: &str) -> Option<ReportLabel> {
 }
 
 fn witness_from(v: &Value) -> Option<Witness> {
-    let obj = v.as_object()?;
-    let mut values = std::collections::BTreeMap::new();
-    for (name, value) in obj {
-        values.insert(name.clone(), value.as_i64()?);
-    }
+    let values = v
+        .obj()?
+        .iter()
+        .map(|(name, value)| Some((name.clone(), value.int()?)))
+        .collect::<Option<_>>()?;
     Some(Witness::new(values))
 }
 
 fn warning_from(v: &Value) -> Option<Warning> {
-    let assert = u32::try_from(get_u64(v, "assert")?).ok()?;
-    let tag = v.get("tag")?.as_str()?.to_string();
+    let assert = v.get("assert")?.u32()?;
+    let tag = v.get("tag")?.str()?.to_string();
     let witness = match v.get("witness")? {
         Value::Null => None,
         w => Some(witness_from(w)?),
@@ -378,71 +363,69 @@ fn warning_from(v: &Value) -> Option<Warning> {
 
 fn stats_from(v: &Value) -> Option<ProcStats> {
     let mut smt = SolverCounters::default();
-    let smt_v = v.get("smt")?.as_array()?;
+    let smt_v = v.get("smt")?.arr()?;
     if smt_v.len() != 4 {
         return None;
     }
-    smt.conflicts = smt_v[0].as_u64()?;
-    smt.decisions = smt_v[1].as_u64()?;
-    smt.propagations = smt_v[2].as_u64()?;
-    smt.theory_conflicts = smt_v[3].as_u64()?;
-    let stages_v = v.get("stages")?.as_array()?;
+    smt.conflicts = smt_v[0].u64()?;
+    smt.decisions = smt_v[1].u64()?;
+    smt.propagations = smt_v[2].u64()?;
+    smt.theory_conflicts = smt_v[3].u64()?;
+    let stages_v = v.get("stages")?.arr()?;
     if stages_v.len() != Stage::ALL.len() {
         return None;
     }
     let mut stages = StageTable::default();
     for (stage, entry) in Stage::ALL.iter().zip(stages_v) {
-        let pair = entry.as_array()?;
+        let pair = entry.arr()?;
         if pair.len() != 2 {
             return None;
         }
-        let seconds = f64::from_bits(pair[0].as_u64()?);
-        let queries = pair[1].as_u64()?;
+        let seconds = f64::from_bits(pair[0].u64()?);
+        let queries = pair[1].u64()?;
         stages.record(*stage, seconds, queries);
     }
     Some(ProcStats {
-        n_predicates: usize::try_from(get_u64(v, "n_predicates")?).ok()?,
-        n_cover_clauses: usize::try_from(get_u64(v, "n_cover_clauses")?).ok()?,
-        search_nodes: usize::try_from(get_u64(v, "search_nodes")?).ok()?,
-        solver_queries: get_u64(v, "solver_queries")?,
+        n_predicates: v.get("n_predicates")?.usize()?,
+        n_cover_clauses: v.get("n_cover_clauses")?.usize()?,
+        search_nodes: v.get("search_nodes")?.usize()?,
+        solver_queries: v.get("solver_queries")?.u64()?,
         stages,
         smt,
     })
 }
 
 fn report_from(v: &Value, proc_name: &str) -> Option<ProcReport> {
-    let config = label_from_name(v.get("config")?.as_str()?)?;
-    let status = match v.get("status")?.as_str()? {
-        "Correct" => SibStatus::Correct,
-        "Sib" => SibStatus::Sib,
-        "MayBug" => SibStatus::MayBug,
-        _ => return None,
-    };
+    let config = label_from_name(v.get("config")?.str()?)?;
+    let status_name = v.get("status")?.str()?;
+    let status = [SibStatus::Correct, SibStatus::Sib, SibStatus::MayBug]
+        .into_iter()
+        .find(|s| s.name() == status_name)?;
     let warnings = v
         .get("warnings")?
-        .as_array()?
+        .arr()?
         .iter()
         .map(warning_from)
         .collect::<Option<Vec<_>>>()?;
     let specs = v
         .get("specs")?
-        .as_array()?
+        .arr()?
         .iter()
-        .map(|s| parse_formula(s.as_str()?).ok())
+        .map(|s| parse_formula(s.str()?).ok())
         .collect::<Option<Vec<Formula>>>()?;
-    let outcome_v = v.get("outcome")?.as_array()?;
-    let outcome = match outcome_v.first()?.as_str()? {
+    let outcome_v = v.get("outcome")?.arr()?;
+    let outcome = match outcome_v.first()?.str()? {
         "ok" => AnalysisOutcome::Ok,
         "timed_out" => AnalysisOutcome::TimedOut,
         "degraded" => AnalysisOutcome::Degraded {
-            from_stage: stage_from_name(outcome_v.get(1)?.as_str()?)?,
-            fallback: fallback_from_name(outcome_v.get(2)?.as_str()?)?,
+            from_stage: stage_from_name(outcome_v.get(1)?.str()?)?,
+            fallback: fallback_from_name(outcome_v.get(2)?.str()?)?,
         },
         _ => return None,
     };
     let timeout_stage = match v.get("timeout_stage")? {
         Value::Null => None,
-        s => Some(stage_from_name(s.as_str()?)?),
+        s => Some(stage_from_name(s.str()?)?),
     };
     Some(ProcReport {
         proc_name: proc_name.to_string(),
@@ -450,7 +433,7 @@ fn report_from(v: &Value, proc_name: &str) -> Option<ProcReport> {
         status,
         warnings,
         specs,
-        min_fail: usize::try_from(get_u64(v, "min_fail")?).ok()?,
+        min_fail: v.get("min_fail")?.usize()?,
         stats: stats_from(v.get("stats")?)?,
         outcome,
         timeout_stage,
@@ -459,13 +442,13 @@ fn report_from(v: &Value, proc_name: &str) -> Option<ProcReport> {
 
 fn snapshot_from(v: &Value) -> Option<CacheSnapshot> {
     let side = |v: &Value| -> Option<Vec<Vec<TermId>>> {
-        v.as_array()?
+        v.arr()?
             .iter()
             .map(|entry| {
                 entry
-                    .as_array()?
+                    .arr()?
                     .iter()
-                    .map(|t| Some(TermId(u32::try_from(t.as_u64()?).ok()?)))
+                    .map(|t| Some(TermId(t.u32()?)))
                     .collect()
             })
             .collect()
@@ -486,21 +469,21 @@ fn snapshot_from(v: &Value) -> Option<CacheSnapshot> {
 /// issued zero solver queries, and stage accounting reflects that.
 pub fn decode_analysis(bytes: &[u8]) -> Option<ProcAnalysis> {
     let text = std::str::from_utf8(bytes).ok()?;
-    let v: Value = serde_json::from_str(text).ok()?;
-    if get_u64(&v, "persist")? != u64::from(PERSIST_VERSION)
-        || get_u64(&v, "report_schema")? != u64::from(REPORT_SCHEMA_VERSION)
+    let v = json::parse(text).ok()?;
+    if v.get("persist")?.u64()? != u64::from(PERSIST_VERSION)
+        || v.get("report_schema")?.u64()? != u64::from(REPORT_SCHEMA_VERSION)
     {
         return None;
     }
-    let proc_name = v.get("proc_name")?.as_str()?.to_string();
+    let proc_name = v.get("proc_name")?.str()?.to_string();
     let cons = report_from(v.get("cons")?, &proc_name)?;
     let reports = v
         .get("reports")?
-        .as_array()?
+        .arr()?
         .iter()
         .map(|per_config| {
             per_config
-                .as_array()?
+                .arr()?
                 .iter()
                 .map(|r| report_from(r, &proc_name))
                 .collect()
@@ -508,7 +491,7 @@ pub fn decode_analysis(bytes: &[u8]) -> Option<ProcAnalysis> {
         .collect::<Option<Vec<Vec<ProcReport>>>>()?;
     let certs_fragment = match v.get("certs")? {
         Value::Null => None,
-        s => Some(s.as_str()?.to_string()),
+        s => Some(s.str()?.to_string()),
     };
     let antichains = match v.get("antichains")? {
         Value::Null => None,

@@ -1,13 +1,13 @@
 //! Warning reports produced by the analysis.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use acspec_ir::expr::Formula;
 use acspec_ir::stmt::AssertId;
 use acspec_smt::SolverCounters;
+use acspec_telemetry::json::{write_f64, write_str};
 use acspec_vcgen::stage::{Stage, StageTable};
-use serde::ser::{SerializeMap, SerializeStruct};
-use serde::{Serialize, Serializer};
 
 use crate::config::ConfigName;
 
@@ -46,14 +46,14 @@ impl std::fmt::Display for SibStatus {
     }
 }
 
-impl Serialize for SibStatus {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let name = match self {
+impl SibStatus {
+    /// Stable name (used in JSON reports and store payloads).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             SibStatus::Correct => "Correct",
             SibStatus::Sib => "Sib",
             SibStatus::MayBug => "MayBug",
-        };
-        serializer.serialize_unit_variant("SibStatus", 0, name)
+        }
     }
 }
 
@@ -116,46 +116,6 @@ pub enum AnalysisOutcome {
     },
 }
 
-impl Serialize for AnalysisOutcome {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            AnalysisOutcome::Ok => serializer.serialize_unit_variant("AnalysisOutcome", 0, "Ok"),
-            AnalysisOutcome::TimedOut => {
-                serializer.serialize_unit_variant("AnalysisOutcome", 1, "TimedOut")
-            }
-            AnalysisOutcome::Degraded {
-                from_stage,
-                fallback,
-            } => {
-                // The vendored serde has no struct-variant support;
-                // render the serde-conventional externally-tagged form
-                // `{"Degraded": {...}}` as a one-entry map.
-                struct Inner {
-                    from_stage: Stage,
-                    fallback: Fallback,
-                }
-                impl Serialize for Inner {
-                    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                        let mut st = s.serialize_struct("Degraded", 2)?;
-                        st.serialize_field("from_stage", self.from_stage.name())?;
-                        st.serialize_field("fallback", self.fallback.name())?;
-                        st.end()
-                    }
-                }
-                let mut map = serializer.serialize_map(Some(1))?;
-                map.serialize_entry(
-                    "Degraded",
-                    &Inner {
-                        from_stage: *from_stage,
-                        fallback: *fallback,
-                    },
-                )?;
-                map.end()
-            }
-        }
-    }
-}
-
 /// What a report describes: the conservative baseline (`Cons`, the
 /// modular verifier of the evaluation's first column) or one of the
 /// four abstract configurations. `Cons` is not a [`ConfigName`] — it is
@@ -202,12 +162,6 @@ impl std::fmt::Display for ReportLabel {
             ReportLabel::Cons => write!(f, "Cons"),
             ReportLabel::Config(c) => write!(f, "{c}"),
         }
-    }
-}
-
-impl Serialize for ReportLabel {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
     }
 }
 
@@ -263,16 +217,6 @@ impl std::fmt::Display for Witness {
     }
 }
 
-impl Serialize for Witness {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = serializer.serialize_map(Some(self.values.len()))?;
-        for (name, value) in &self.values {
-            map.serialize_entry(name, value)?;
-        }
-        map.end()
-    }
-}
-
 /// A single reported warning.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Warning {
@@ -307,57 +251,6 @@ impl ProcStats {
     /// Total wall-clock seconds across stages (Figure 9 column `T`).
     pub fn seconds(&self) -> f64 {
         self.stages.total_seconds()
-    }
-}
-
-impl Serialize for ProcStats {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("ProcStats", 7)?;
-        st.serialize_field("n_predicates", &self.n_predicates)?;
-        st.serialize_field("n_cover_clauses", &self.n_cover_clauses)?;
-        st.serialize_field("search_nodes", &self.search_nodes)?;
-        st.serialize_field("solver_queries", &self.solver_queries)?;
-        st.serialize_field("seconds", &self.seconds())?;
-        struct SmtEntry(SolverCounters);
-        impl Serialize for SmtEntry {
-            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                let mut st = serializer.serialize_struct("SmtEntry", 4)?;
-                st.serialize_field("conflicts", &self.0.conflicts)?;
-                st.serialize_field("decisions", &self.0.decisions)?;
-                st.serialize_field("propagations", &self.0.propagations)?;
-                st.serialize_field("theory_conflicts", &self.0.theory_conflicts)?;
-                st.end()
-            }
-        }
-        st.serialize_field("smt", &SmtEntry(self.smt))?;
-        struct StageEntry {
-            seconds: f64,
-            queries: u64,
-        }
-        impl Serialize for StageEntry {
-            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                let mut st = serializer.serialize_struct("StageEntry", 2)?;
-                st.serialize_field("seconds", &self.seconds)?;
-                st.serialize_field("queries", &self.queries)?;
-                st.end()
-            }
-        }
-        let stages: BTreeMap<&str, StageEntry> = self
-            .stages
-            .iter()
-            .filter(|(_, m)| m.queries > 0 || m.seconds > 0.0)
-            .map(|(stage, m)| {
-                (
-                    stage.name(),
-                    StageEntry {
-                        seconds: m.seconds,
-                        queries: m.queries,
-                    },
-                )
-            })
-            .collect();
-        st.serialize_field("stages", &stages)?;
-        st.end()
     }
 }
 
@@ -405,7 +298,9 @@ impl ProcReport {
     /// Serializes the report as pretty-printed JSON (specifications and
     /// assertion ids are rendered in the surface syntax).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialization is infallible")
+        let mut out = String::new();
+        self.write_json(&mut out, 0);
+        out
     }
 }
 
@@ -468,17 +363,6 @@ impl std::fmt::Display for AnalysisIncident {
     }
 }
 
-impl Serialize for AnalysisIncident {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("AnalysisIncident", 4)?;
-        st.serialize_field("proc_name", &self.proc_name)?;
-        st.serialize_field("kind", self.kind.name())?;
-        st.serialize_field("stage", &self.stage.map(Stage::name))?;
-        st.serialize_field("message", &self.message)?;
-        st.end()
-    }
-}
-
 /// Assembles the program-level report document: schema version, the
 /// per-procedure reports, and the incidents, as pretty-printed JSON.
 /// This is the `acspec --format json` payload.
@@ -494,63 +378,231 @@ pub fn program_report_json_with(
     incidents: &[AnalysisIncident],
     certs_ref: Option<&str>,
 ) -> String {
-    struct Doc<'a> {
-        reports: &'a [&'a ProcReport],
-        incidents: &'a [AnalysisIncident],
-        certs_ref: Option<&'a str>,
+    let mut out = String::new();
+    let mut doc = Block::open(&mut out, 0, '{', '}');
+    if let Some(path) = certs_ref {
+        write_str(doc.field("certs_ref"), path);
     }
-    impl Serialize for Doc<'_> {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let n = 3 + usize::from(self.certs_ref.is_some());
-            let mut st = serializer.serialize_struct("ProgramReport", n)?;
-            st.serialize_field("schema_version", &REPORT_SCHEMA_VERSION)?;
-            if let Some(path) = self.certs_ref {
-                st.serialize_field("certs_ref", &path)?;
-            }
-            st.serialize_field("reports", &self.reports)?;
-            st.serialize_field("incidents", &self.incidents)?;
-            st.end()
+    let mut list = Block::open(doc.field("incidents"), 1, '[', ']');
+    for incident in incidents {
+        incident.write_json(list.item(), 2);
+    }
+    list.close();
+    let mut list = Block::open(doc.field("reports"), 1, '[', ']');
+    for report in reports {
+        report.write_json(list.item(), 2);
+    }
+    list.close();
+    write_num(doc.field("schema_version"), REPORT_SCHEMA_VERSION);
+    doc.close();
+    out
+}
+
+// ---------------------------------------------------------------------
+// JSON rendering
+// ---------------------------------------------------------------------
+
+/// A JSON object or array being pretty-printed in the report layout:
+/// one element per line, two-space indent, `"key": value`, and `[]` /
+/// `{}` when empty. Callers write object fields in sorted key order, so
+/// every object in a report lists its keys alphabetically.
+struct Block<'a> {
+    out: &'a mut String,
+    depth: usize,
+    close: char,
+    empty: bool,
+}
+
+impl<'a> Block<'a> {
+    /// Opens a container whose own line sits at indent `depth`.
+    fn open(out: &'a mut String, depth: usize, open: char, close: char) -> Block<'a> {
+        out.push(open);
+        Block {
+            out,
+            depth,
+            close,
+            empty: true,
         }
     }
-    serde_json::to_string_pretty(&Doc {
-        reports,
-        incidents,
-        certs_ref,
-    })
-    .expect("report serialization is infallible")
-}
 
-impl Serialize for Warning {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Warning", 3)?;
-        st.serialize_field("assert", &self.assert.to_string())?;
-        st.serialize_field("tag", &self.tag)?;
-        st.serialize_field("witness", &self.witness)?;
-        st.end()
+    /// Starts the next array element.
+    fn item(&mut self) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        newline(self.out, self.depth + 1);
+        self.out
+    }
+
+    /// Starts the next object field.
+    fn field(&mut self, key: &str) -> &mut String {
+        let out = self.item();
+        write_str(out, key);
+        out.push_str(": ");
+        out
+    }
+
+    fn close(self) {
+        if !self.empty {
+            newline(self.out, self.depth);
+        }
+        self.out.push(self.close);
     }
 }
 
-impl Serialize for ProcReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("ProcReport", 10)?;
-        st.serialize_field("schema_version", &REPORT_SCHEMA_VERSION)?;
-        st.serialize_field("proc_name", &self.proc_name)?;
-        st.serialize_field("config", &self.config)?;
-        st.serialize_field("status", &self.status)?;
-        st.serialize_field("warnings", &self.warnings)?;
-        let specs: Vec<String> = self.specs.iter().map(Formula::to_string).collect();
-        st.serialize_field("specs", &specs)?;
-        st.serialize_field("min_fail", &self.min_fail)?;
-        st.serialize_field("stats", &self.stats)?;
-        st.serialize_field("outcome", &self.outcome)?;
-        st.serialize_field("timeout_stage", &self.timeout_stage.map(Stage::name))?;
-        st.end()
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+fn write_num(out: &mut String, n: impl std::fmt::Display) {
+    let _ = write!(out, "{n}");
+}
+
+/// Report floats keep a fraction when integral (`2.0`, where
+/// [`write_f64`] writes `2`); every other value is [`write_f64`]'s.
+fn write_seconds(out: &mut String, x: f64) {
+    if x.fract() == 0.0 && x.abs() < 1e15 {
+        let _ = write!(out, "{x:.1}");
+    } else {
+        write_f64(out, x);
+    }
+}
+
+fn write_opt(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => write_str(out, s),
+        None => out.push_str("null"),
+    }
+}
+
+impl AnalysisOutcome {
+    /// `"Ok"`, `"TimedOut"`, or the externally tagged
+    /// `{"Degraded": {"fallback": …, "from_stage": …}}`.
+    fn write_json(&self, out: &mut String, depth: usize) {
+        match self {
+            AnalysisOutcome::Ok => write_str(out, "Ok"),
+            AnalysisOutcome::TimedOut => write_str(out, "TimedOut"),
+            AnalysisOutcome::Degraded {
+                from_stage,
+                fallback,
+            } => {
+                let mut tagged = Block::open(out, depth, '{', '}');
+                let mut o = Block::open(tagged.field("Degraded"), depth + 1, '{', '}');
+                write_str(o.field("fallback"), fallback.name());
+                write_str(o.field("from_stage"), from_stage.name());
+                o.close();
+                tagged.close();
+            }
+        }
+    }
+}
+
+impl ProcStats {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        let inner = depth + 1;
+        let mut o = Block::open(out, depth, '{', '}');
+        write_num(o.field("n_cover_clauses"), self.n_cover_clauses);
+        write_num(o.field("n_predicates"), self.n_predicates);
+        write_num(o.field("search_nodes"), self.search_nodes);
+        write_seconds(o.field("seconds"), self.seconds());
+        let mut smt = Block::open(o.field("smt"), inner, '{', '}');
+        write_num(smt.field("conflicts"), self.smt.conflicts);
+        write_num(smt.field("decisions"), self.smt.decisions);
+        write_num(smt.field("propagations"), self.smt.propagations);
+        write_num(smt.field("theory_conflicts"), self.smt.theory_conflicts);
+        smt.close();
+        write_num(o.field("solver_queries"), self.solver_queries);
+        let mut active: Vec<_> = self
+            .stages
+            .iter()
+            .filter(|(_, m)| m.queries > 0 || m.seconds > 0.0)
+            .map(|(stage, m)| (stage.name(), m))
+            .collect();
+        active.sort_by_key(|&(name, _)| name);
+        let mut stages = Block::open(o.field("stages"), inner, '{', '}');
+        for (name, m) in active {
+            let mut entry = Block::open(stages.field(name), inner + 1, '{', '}');
+            write_num(entry.field("queries"), m.queries);
+            write_seconds(entry.field("seconds"), m.seconds);
+            entry.close();
+        }
+        stages.close();
+        o.close();
+    }
+}
+
+impl Warning {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        let mut o = Block::open(out, depth, '{', '}');
+        write_str(o.field("assert"), &self.assert.to_string());
+        write_str(o.field("tag"), &self.tag);
+        match &self.witness {
+            Some(witness) => {
+                let mut values = Block::open(o.field("witness"), depth + 1, '{', '}');
+                for (name, value) in witness.iter() {
+                    write_num(values.field(name), value);
+                }
+                values.close();
+            }
+            None => o.field("witness").push_str("null"),
+        }
+        o.close();
+    }
+}
+
+impl ProcReport {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        let inner = depth + 1;
+        let mut o = Block::open(out, depth, '{', '}');
+        write_str(o.field("config"), &self.config.to_string());
+        write_num(o.field("min_fail"), self.min_fail);
+        self.outcome.write_json(o.field("outcome"), inner);
+        write_str(o.field("proc_name"), &self.proc_name);
+        write_num(o.field("schema_version"), REPORT_SCHEMA_VERSION);
+        let mut specs = Block::open(o.field("specs"), inner, '[', ']');
+        for spec in &self.specs {
+            write_str(specs.item(), &spec.to_string());
+        }
+        specs.close();
+        self.stats.write_json(o.field("stats"), inner);
+        write_str(o.field("status"), self.status.name());
+        write_opt(
+            o.field("timeout_stage"),
+            self.timeout_stage.map(Stage::name),
+        );
+        let mut warnings = Block::open(o.field("warnings"), inner, '[', ']');
+        for warning in &self.warnings {
+            warning.write_json(warnings.item(), inner + 1);
+        }
+        warnings.close();
+        o.close();
+    }
+}
+
+impl AnalysisIncident {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        let mut o = Block::open(out, depth, '{', '}');
+        write_str(o.field("kind"), self.kind.name());
+        write_str(o.field("message"), &self.message);
+        write_str(o.field("proc_name"), &self.proc_name);
+        write_opt(o.field("stage"), self.stage.map(Stage::name));
+        o.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acspec_check::json::{parse, Value as Json};
+
+    /// The value at `path` (object keys), if every step exists.
+    fn at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a Json> {
+        path.iter().try_fold(v, |v, k| v.get(k))
+    }
 
     #[test]
     fn report_serializes_to_json() {
@@ -577,14 +629,15 @@ mod tests {
         assert!(json.contains("\"assert\": \"A5\""), "{json}");
         assert!(json.contains("\"c != buf\""), "{json}");
         assert!(json.contains("\"status\": \"Sib\""), "{json}");
-        // Valid JSON round trip through serde_json's Value.
-        let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(value["warnings"][0]["witness"]["c"], 1);
+        // Valid JSON: the workspace's one reader parses it back.
+        let value = parse(&json).expect("valid JSON");
+        let warning = &value.get("warnings").and_then(Json::arr).expect("warnings")[0];
+        assert_eq!(at(warning, &["witness", "c"]).and_then(Json::int), Some(1));
         // Forward-compat: the schema version is the first thing a
         // consumer can check. Pinned to the literal so a bump forces a
         // deliberate update here (and in the independent checker, whose
         // `SUPPORTED_SCHEMA_VERSION` tracks this constant).
-        assert_eq!(value["schema_version"], 3);
+        assert_eq!(value.get("schema_version").and_then(Json::int), Some(3));
         assert_eq!(u64::from(REPORT_SCHEMA_VERSION), 3);
     }
 
@@ -606,10 +659,14 @@ mod tests {
         };
         assert!(report.timed_out(), "degraded counts as a timeout");
         assert!(report.degraded());
-        let value: serde_json::Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
-        assert_eq!(value["outcome"]["Degraded"]["from_stage"], "search");
-        assert_eq!(value["outcome"]["Degraded"]["fallback"], "best_candidate");
-        assert_eq!(value["timeout_stage"], "search");
+        let value = parse(&report.to_json()).expect("valid JSON");
+        let text = |path: &[&str]| at(&value, path).and_then(Json::str);
+        assert_eq!(text(&["outcome", "Degraded", "from_stage"]), Some("search"));
+        assert_eq!(
+            text(&["outcome", "Degraded", "fallback"]),
+            Some("best_candidate")
+        );
+        assert_eq!(text(&["timeout_stage"]), Some("search"));
     }
 
     #[test]
@@ -625,12 +682,20 @@ mod tests {
             "panic in `Bad` during cover: chaos: injected panic before query 3"
         );
         let json = program_report_json(&[], &[incident]);
-        let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(value["schema_version"], 3);
-        assert_eq!(value["reports"].as_array().map(Vec::len), Some(0));
-        assert_eq!(value["incidents"][0]["kind"], "panic");
-        assert_eq!(value["incidents"][0]["stage"], "cover");
-        assert_eq!(value["incidents"][0]["proc_name"], "Bad");
+        let value = parse(&json).expect("valid JSON");
+        assert_eq!(value.get("schema_version").and_then(Json::int), Some(3));
+        assert_eq!(
+            value.get("reports").and_then(Json::arr).map(<[_]>::len),
+            Some(0)
+        );
+        let incident = &value
+            .get("incidents")
+            .and_then(Json::arr)
+            .expect("incidents")[0];
+        let text = |key: &str| incident.get(key).and_then(Json::str);
+        assert_eq!(text("kind"), Some("panic"));
+        assert_eq!(text("stage"), Some("cover"));
+        assert_eq!(text("proc_name"), Some("Bad"));
     }
 
     #[test]

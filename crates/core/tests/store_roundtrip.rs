@@ -16,8 +16,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use acspec_core::{
-    certs_json_from_fragments, program_report_json_with, AnalysisIncident, ConfigName,
-    IncidentKind, ProcReport, ProcStats, ProgramAnalysis, StageTotals, StoreSession,
+    certs_json_from_fragments, decode_analysis, program_report_json_with, AnalysisIncident,
+    ConfigName, IncidentKind, ProcReport, ProcStats, ProgramAnalysis, StageTotals, StoreOutcome,
+    StoreSession,
 };
 use acspec_ir::parse::parse_program;
 use acspec_ir::Program;
@@ -338,4 +339,23 @@ fn store_chaos_at_high_rate_never_alters_a_verdict() {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A payload of 200,000 nested arrays behind a valid SHA-256 frame:
+/// the store hands it over as a hit, so only the payload decoder's
+/// nesting cap stands between it and the stack. It must decode to
+/// nothing and fetch as a miss instead of aborting the process.
+#[test]
+fn deeply_nested_payload_is_a_miss_not_an_abort() {
+    let dir = tmpdir("deep-payload");
+    let key = acspec_core::persist::entry_key("deep", "options");
+    let payload = "[".repeat(200_000);
+    acspec_store::ResultStore::open(&dir)
+        .expect("opens")
+        .save(&key, payload.as_bytes())
+        .expect("saves");
+    assert!(decode_analysis(payload.as_bytes()).is_none());
+    let store = StoreSession::open(&dir).expect("opens");
+    assert!(matches!(store.fetch(&key, "f"), StoreOutcome::Miss));
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -11,6 +11,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p acspec-core --test telemetry_golden
 //! ```
 
+use acspec_check::json::{self, Value as Json};
 use acspec_core::{ProgramAnalysis, TelemetryObserver};
 use acspec_ir::parse::parse_program;
 use acspec_telemetry::TraceRender;
@@ -87,12 +88,13 @@ fn redacted_perfetto_trace_matches_golden_file() {
     );
     // Sanity before pinning: the document is valid JSON with all three
     // Perfetto phase kinds present.
-    let v: serde_json::Value = serde_json::from_str(&rendered).expect("valid JSON");
-    let phases: std::collections::BTreeSet<&str> = v["traceEvents"]
-        .as_array()
+    let v = json::parse(&rendered).expect("valid JSON");
+    let phases: std::collections::BTreeSet<&str> = v
+        .get("traceEvents")
+        .and_then(Json::arr)
         .expect("array")
         .iter()
-        .filter_map(|e| e["ph"].as_str())
+        .filter_map(|e| e.get("ph").and_then(Json::str))
         .collect();
     assert!(phases.contains("X") && phases.contains("i"), "{phases:?}");
 
@@ -121,8 +123,10 @@ fn metrics_snapshot_shape_is_stable() {
     assert!(outcomes.iter().all(|o| o.incident().is_none()));
     let out = obs.finish();
     let json = out.metrics_json(None);
-    let v: serde_json::Value = serde_json::from_str(&json).expect("snapshot parses");
-    assert_eq!(v["schema"], u64::from(acspec_telemetry::SCHEMA_VERSION));
+    let v = json::parse(&json).expect("snapshot parses");
+    let at = |path: &[&str]| path.iter().try_fold(&v, |v, k| v.get(k));
+    let schema = acspec_telemetry::SCHEMA_VERSION;
+    assert_eq!(at(&["schema"]), Some(&Json::Int(schema.into())));
     // The metric families the snapshot must keep exposing.
     for key in [
         "procs",
@@ -142,12 +146,13 @@ fn metrics_snapshot_shape_is_stable() {
         "cache.invalidations",
     ] {
         assert!(
-            v["counters"][key].as_u64().is_some(),
+            at(&["counters", key]).and_then(Json::int).is_some(),
             "counter {key} missing from snapshot: {json}"
         );
     }
-    assert!(v["gauges"]["stage.total_seconds"].as_f64().is_some());
-    assert!(v["histograms"]["solver.query_seconds"]["count"]
-        .as_u64()
-        .is_some());
+    // The writer prints an integral float without a fraction.
+    let seconds = at(&["gauges", "stage.total_seconds"]);
+    assert!(matches!(seconds, Some(Json::Int(_) | Json::Float(_))));
+    let count = at(&["histograms", "solver.query_seconds", "count"]);
+    assert!(matches!(count, Some(Json::Int(_))));
 }

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use acspec_check::json;
+use acspec_telemetry::json::write_str;
 
 /// The abstraction-level names a fingerprint can carry, in ladder order:
 /// the three evaluated configurations plus `Cons` for warnings only the
@@ -70,21 +71,6 @@ pub struct Oracle {
     pub warnings: Vec<WarningFingerprint>,
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Oracle {
     /// Sorts the fingerprints into the canonical (proc, tag, …) order.
     pub fn normalize(&mut self) {
@@ -99,14 +85,15 @@ impl Oracle {
         let mut s = String::from("{\n  \"schema\": 1,\n  \"warnings\": [");
         for (i, w) in self.warnings.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"proc\": \"{}\", \"kind\": \"{}\", \"tag\": \"{}\", \"level\": \"{}\", \"min_fail\": {}}}",
-                esc(&w.proc),
-                esc(&w.kind),
-                esc(&w.tag),
-                esc(&w.level),
-                w.min_fail
-            ));
+            s.push_str("    {\"proc\": ");
+            write_str(&mut s, &w.proc);
+            s.push_str(", \"kind\": ");
+            write_str(&mut s, &w.kind);
+            s.push_str(", \"tag\": ");
+            write_str(&mut s, &w.tag);
+            s.push_str(", \"level\": ");
+            write_str(&mut s, &w.level);
+            s.push_str(&format!(", \"min_fail\": {}}}", w.min_fail));
         }
         if !self.warnings.is_empty() {
             s.push_str("\n  ");

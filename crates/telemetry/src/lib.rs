@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod perfetto;
 pub mod trace;
 
-pub use json::{Json, JsonError, Value};
+pub use json::Value;
 pub use metrics::{
     max_rss_kb, opt, BoundsMismatch, Histogram, Manifest, MetricsRegistry, LATENCY_BUCKETS,
     SCHEMA_VERSION,
@@ -43,10 +43,11 @@ pub use trace::{Span, SpanHandle, Trace, TraceBuf, TraceEvent, TraceRender};
 mod tests {
     use super::*;
 
-    /// Every sink line must be valid JSON (checked with serde_json,
-    /// which the rest of the workspace already trusts for reports).
+    /// Every sink line must be valid JSON (checked with the strict
+    /// reader of `acspec-check`, which also rejects duplicate keys).
     #[test]
     fn sinks_emit_valid_json() {
+        use acspec_check::json::{parse, Value as Json};
         let mut buf = TraceBuf::new();
         let p = buf.push_span(
             None,
@@ -76,8 +77,8 @@ mod tests {
             options: vec![opt("prune", "off")],
         };
         for line in trace.to_jsonl(Some(&manifest)).lines() {
-            let v: serde_json::Value = serde_json::from_str(line).expect(line);
-            assert!(v["type"].as_str().is_some(), "{line}");
+            let v = parse(line).expect(line);
+            assert!(v.get("type").and_then(Json::str).is_some(), "{line}");
         }
 
         let mut reg = MetricsRegistry::new();
@@ -85,10 +86,12 @@ mod tests {
         reg.observe("solver.query_seconds", 0.001);
         reg.gauge_add("stage.total_seconds", 0.125);
         let snap = reg.snapshot_json(Some(&manifest));
-        let v: serde_json::Value = serde_json::from_str(&snap).expect("valid snapshot");
-        assert_eq!(v["schema"], u64::from(SCHEMA_VERSION));
-        assert_eq!(v["manifest"]["tool"], "acspec");
-        assert_eq!(v["counters"]["solver.queries"], 1);
-        assert_eq!(v["histograms"]["solver.query_seconds"]["count"], 1);
+        let v = parse(&snap).expect("valid snapshot");
+        let at = |path: &[&str]| path.iter().try_fold(&v, |v, k| v.get(k));
+        assert_eq!(at(&["schema"]), Some(&Json::Int(SCHEMA_VERSION.into())));
+        assert_eq!(at(&["manifest", "tool"]), Some(&Json::Str("acspec".into())));
+        assert_eq!(at(&["counters", "solver.queries"]), Some(&Json::Int(1)));
+        let count = at(&["histograms", "solver.query_seconds", "count"]);
+        assert_eq!(count, Some(&Json::Int(1)));
     }
 }

@@ -153,6 +153,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::trace::TraceBuf;
+    use acspec_check::json::{parse, Value as Json};
 
     fn sample() -> Trace {
         let mut b = TraceBuf::new();
@@ -180,38 +181,51 @@ mod tests {
         Trace::assemble("program", vec![("procs", 1u64.into())], vec![b])
     }
 
+    /// The value at `path` (object keys), if every step exists.
+    fn at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a Json> {
+        path.iter().try_fold(v, |v, k| v.get(k))
+    }
+
+    fn int(e: &Json, key: &str) -> i64 {
+        e.get(key).and_then(Json::int).expect(key)
+    }
+
+    fn text<'a>(e: &'a Json, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(Json::str)
+    }
+
     #[test]
     fn perfetto_export_is_valid_and_nests() {
         let t = sample();
         let doc = t.to_perfetto(None);
-        let v: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
-        let events = v["traceEvents"].as_array().expect("array");
+        let v = parse(&doc).expect("valid JSON");
+        let events = at(&v, &["traceEvents"]).and_then(Json::arr).expect("array");
         // 5 spans (root + 4), 2 instants, 2 counter samples.
         assert_eq!(events.len(), 9, "{doc}");
-        let slices: Vec<&serde_json::Value> = events.iter().filter(|e| e["ph"] == "X").collect();
+        let slices: Vec<&Json> = events
+            .iter()
+            .filter(|e| text(e, "ph") == Some("X"))
+            .collect();
         assert_eq!(slices.len(), 5);
-        assert_eq!(slices[0]["name"], "program");
-        assert_eq!(slices[1]["name"], "procedure f");
-        assert_eq!(slices[3]["name"], "stage screen");
+        assert_eq!(text(slices[0], "name"), Some("program"));
+        assert_eq!(text(slices[1], "name"), Some("procedure f"));
+        assert_eq!(text(slices[3], "name"), Some("stage screen"));
         // The two stages tile their config: cover starts where screen ends.
         let screen = slices[3];
         let cover = slices[4];
-        assert_eq!(
-            screen["ts"].as_u64().unwrap() + screen["dur"].as_u64().unwrap(),
-            cover["ts"].as_u64().unwrap()
-        );
+        assert_eq!(int(screen, "ts") + int(screen, "dur"), int(cover, "ts"));
         // Counter track accumulates.
-        let counters: Vec<u64> = events
+        let counters: Vec<i64> = events
             .iter()
-            .filter(|e| e["ph"] == "C")
-            .map(|e| e["args"]["value"].as_u64().unwrap())
+            .filter(|e| text(e, "ph") == Some("C"))
+            .map(|e| at(e, &["args", "value"]).and_then(Json::int).unwrap())
             .collect();
         assert_eq!(counters, vec![5, 12]);
         // Instants stay inside their stage slice.
-        let instant = events.iter().find(|e| e["ph"] == "i").unwrap();
-        let ts = instant["ts"].as_u64().unwrap();
-        let s_ts = screen["ts"].as_u64().unwrap();
-        assert!(ts >= s_ts && ts <= s_ts + screen["dur"].as_u64().unwrap());
+        let instant = events.iter().find(|e| text(e, "ph") == Some("i")).unwrap();
+        let ts = int(instant, "ts");
+        let s_ts = int(screen, "ts");
+        assert!(ts >= s_ts && ts <= s_ts + int(screen, "dur"));
     }
 
     #[test]
@@ -224,11 +238,11 @@ mod tests {
                 redact: true,
             },
         );
-        let v: serde_json::Value = serde_json::from_str(&redacted).expect("valid JSON");
-        for e in v["traceEvents"].as_array().unwrap() {
-            assert_eq!(e["ts"], 0, "{e}");
-            if let Some(q) = e["args"].get("queries") {
-                assert_eq!(q.as_u64(), Some(0));
+        let v = parse(&redacted).expect("valid JSON");
+        for e in at(&v, &["traceEvents"]).and_then(Json::arr).unwrap() {
+            assert_eq!(int(e, "ts"), 0, "{e:?}");
+            if let Some(q) = at(e, &["args", "queries"]) {
+                assert_eq!(q.int(), Some(0));
             }
         }
         // Deterministic: same input, same bytes.
@@ -253,9 +267,14 @@ mod tests {
             configs: vec!["Conc".into()],
             options: vec![],
         };
-        let v: serde_json::Value =
-            serde_json::from_str(&t.to_perfetto(Some(&m))).expect("valid JSON");
-        assert_eq!(v["otherData"]["manifest"]["tool"], "repro");
-        assert_eq!(v["otherData"]["schema"], 1);
+        let v = parse(&t.to_perfetto(Some(&m))).expect("valid JSON");
+        assert_eq!(
+            at(&v, &["otherData", "manifest", "tool"]).and_then(Json::str),
+            Some("repro")
+        );
+        assert_eq!(
+            at(&v, &["otherData", "schema"]).and_then(Json::int),
+            Some(1)
+        );
     }
 }
