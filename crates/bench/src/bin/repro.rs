@@ -49,19 +49,22 @@
 //! repro ablation-interproc    inferred callee preconditions (§7)
 //! repro all   [--scale N]     everything above
 //!
-//!   --trace-out <path>        write a span trace of the run
 //!   --trace-format <fmt>      trace format: jsonl (default) or
 //!                             perfetto (chrome://tracing / Perfetto UI)
+//!   --threads <N>             worker threads for the evaluation
+//!                             (default: available parallelism; results
+//!                             are deterministic either way)
+//!
+//! run flags, shared with `acspec` (`acspec_core::RunConfig`):
+//!   --trace-out <path>        write a span trace of the run
 //!   --metrics-out <path>      write a JSON metrics snapshot
 //!   --certs-out <path>        write the per-verdict certificate sidecar
 //!                             (re-validate with `acspec check <path>`)
 //!   --no-query-cache          disable the monotone query cache
-//!   --threads <N>             worker threads for the evaluation
-//!                             (default: available parallelism; results
-//!                             are deterministic either way)
 //!   --deadline <secs>         wall-clock deadline per procedure+config
 //!   --chaos-seed <u64>        deterministic fault-injection seed
 //!   --chaos-rate <p>          fault probability per solver query (0..1)
+//!   --store-dir <DIR>         persistent result store (`corpus`, `store`)
 //! ```
 //!
 //! `--scale N` divides every benchmark's procedure count by `N`
@@ -70,7 +73,7 @@
 //! command does not accept, and extra positional arguments are
 //! rejected with the usage text (exit code 2).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use acspec_bench::{
     classify, evaluate_with, format_table, BenchEval, EvalOptions, BENCH_COUNTERS, BENCH_WORKLOADS,
@@ -81,8 +84,8 @@ use acspec_benchgen::Benchmark;
 use acspec_check::check_document;
 use acspec_core::{
     analyze_procedure, certs_json, certs_json_from_fragments, decode_analysis, AcspecOptions,
-    ConfigName, NullObserver, ProcCerts, SessionObserver, StageTotals, StoreSession, TeeObserver,
-    TelemetryObserver, TelemetryOutput,
+    ConfigName, NullObserver, ProcCerts, RunConfig, SessionObserver, StageTotals, StoreSession,
+    TeeObserver, TelemetryObserver, TelemetryOutput,
 };
 use acspec_ir::arena::{Node, TermArena, TermId};
 use acspec_ir::{desugar_procedure, DesugarOptions, Formula};
@@ -90,7 +93,7 @@ use acspec_store::{LoadResult, ResultStore};
 use acspec_telemetry::json::{write_f64, write_str};
 use acspec_telemetry::{max_rss_kb, opt, Manifest, MetricsRegistry, Trace, Value};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
-use acspec_vcgen::chaos::ChaosConfig;
+use acspec_vcgen::chaos::{silence_injected_panics, ChaosConfig};
 use acspec_vcgen::stage::Stage;
 use acspec_vcgen::wp::wp_interned;
 
@@ -125,45 +128,30 @@ const CORPUS_ACTIONS: &[&str] = &["list", "run", "bless", "diff"];
 
 const STORE_ACTIONS: &[&str] = &["stat", "gc", "verify"];
 
-/// The analyzer-knob flags accepted by every figure evaluation.
-const KNOB_FLAGS: &[&str] = &[
-    "--no-query-cache",
-    "--threads",
-    "--deadline",
-    "--chaos-seed",
-    "--chaos-rate",
-];
-
-/// The telemetry/certificate sink flags accepted by every figure
-/// evaluation.
-const SINK_FLAGS: &[&str] = &[
-    "--trace-out",
-    "--trace-format",
-    "--metrics-out",
-    "--certs-out",
-];
-
 /// Which flags each command accepts. A flag outside its command's row
 /// is a usage error — `repro corpus --scale 4` or `repro fig5
 /// --best-of 2` must fail loudly instead of silently ignoring the
-/// knob.
+/// knob. Of the run flags, figure evaluations take the analyzer knobs
+/// and (`bench` aside) the sinks; only `corpus` and `store` take
+/// `--store-dir`.
 fn allowed_flags(cmd: &str) -> Vec<&'static str> {
     let mut allowed: Vec<&'static str> = Vec::new();
     match cmd {
         "fig5" => allowed.push("--scale"),
         "fig6" | "fig7" | "fig8" | "fig9" | "all" => {
-            allowed.push("--scale");
-            allowed.extend(SINK_FLAGS);
-            allowed.extend(KNOB_FLAGS);
+            allowed.extend(["--scale", "--threads", "--trace-format"]);
+            allowed.extend(RunConfig::KNOB_FLAGS);
+            allowed.extend(RunConfig::SINK_FLAGS);
         }
         "profile" => {
             allowed.extend(["--scale", "--top", "--top-terms", "--sort"]);
-            allowed.extend(SINK_FLAGS);
-            allowed.extend(KNOB_FLAGS);
+            allowed.extend(["--threads", "--trace-format"]);
+            allowed.extend(RunConfig::KNOB_FLAGS);
+            allowed.extend(RunConfig::SINK_FLAGS);
         }
         "bench" => {
-            allowed.extend(["--scale", "--best-of", "--out"]);
-            allowed.extend(KNOB_FLAGS);
+            allowed.extend(["--scale", "--best-of", "--out", "--threads"]);
+            allowed.extend(RunConfig::KNOB_FLAGS);
         }
         "trace-diff" => allowed.push("--top"),
         "corpus" => allowed.extend([
@@ -205,15 +193,10 @@ struct Cli {
     sort: ProfileSort,
     best_of: usize,
     out: Option<String>,
-    trace_out: Option<String>,
     trace_format: TraceFormat,
-    metrics_out: Option<String>,
-    certs_out: Option<String>,
-    query_cache: bool,
     threads: Option<usize>,
-    deadline: Option<f64>,
-    chaos_seed: Option<u64>,
-    chaos_rate: Option<f64>,
+    /// The run flags shared with `acspec`.
+    run: RunConfig,
     /// Positional file arguments (only `trace-diff` takes any).
     files: Vec<String>,
     /// `corpus` action: list, run, bless, or diff.
@@ -226,57 +209,10 @@ struct Cli {
     report: Option<String>,
     /// `store` action: stat, gc, or verify.
     store_action: Option<String>,
-    /// `--store-dir`: the persistent result store directory.
-    store_dir: Option<String>,
     /// `--store-chaos-seed`: deterministic store I/O fault seed.
     store_chaos_seed: Option<u64>,
     /// `--store-chaos-rate`: store I/O fault probability (0..=1).
     store_chaos_rate: Option<f64>,
-}
-
-/// The analyzer-affecting knobs threaded through every figure's
-/// evaluation: the query-cache escape hatch plus the fault-tolerance
-/// controls (wall-clock deadline, deterministic fault injection).
-#[derive(Clone, Copy)]
-struct RunKnobs {
-    query_cache: bool,
-    threads: Option<usize>,
-    deadline: Option<Duration>,
-    chaos: Option<ChaosConfig>,
-    certify: bool,
-}
-
-impl Cli {
-    fn knobs(&self) -> RunKnobs {
-        RunKnobs {
-            query_cache: self.query_cache,
-            threads: self.threads,
-            certify: self.certs_out.is_some(),
-            deadline: self.deadline.map(Duration::from_secs_f64),
-            // Install the chaos harness only when a chaos flag was
-            // explicitly given, so flagless runs stay byte-identical.
-            chaos: (self.chaos_seed.is_some() || self.chaos_rate.is_some()).then(|| {
-                ChaosConfig::new(self.chaos_seed.unwrap_or(0), self.chaos_rate.unwrap_or(0.0))
-            }),
-        }
-    }
-}
-
-/// Keeps the default panic-hook backtrace off stderr for the panics
-/// the chaos harness injects on purpose — they are caught by the
-/// worker loop and reported as incidents. Real panics still reach the
-/// previous hook.
-fn silence_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.starts_with("chaos:"));
-        if !injected {
-            prev(info);
-        }
-    }));
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -295,54 +231,34 @@ fn parse_args() -> Cli {
         sort: ProfileSort::Wall,
         best_of: 3,
         out: None,
-        trace_out: None,
         trace_format: TraceFormat::Jsonl,
-        metrics_out: None,
-        certs_out: None,
-        // Honors ACSPEC_NO_QUERY_CACHE (the CI cache-off matrix leg);
-        // `--no-query-cache` then forces it off regardless.
-        query_cache: AnalyzerConfig::default().query_cache,
         threads: None,
-        deadline: None,
-        chaos_seed: None,
-        chaos_rate: None,
+        run: RunConfig::default(),
         files: Vec::new(),
         corpus_action: None,
         scenario: None,
         corpus_dir: None,
         report: None,
         store_action: None,
-        store_dir: None,
         store_chaos_seed: None,
         store_chaos_rate: None,
     };
     // Every flag consumed, in order; validated against the command's
     // whitelist once the command is known (flags may precede it).
-    let mut seen_flags: Vec<&'static str> = Vec::new();
+    // Unknown flags never get that far.
+    let mut seen_flags: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(flag) = args.get(i).filter(|a| a.starts_with('-')) {
-            if let Some(known) = KNOB_FLAGS
-                .iter()
-                .chain(SINK_FLAGS)
-                .chain(&[
-                    "--scale",
-                    "--top",
-                    "--top-terms",
-                    "--sort",
-                    "--best-of",
-                    "--out",
-                    "--scenario",
-                    "--corpus-dir",
-                    "--report",
-                    "--store-dir",
-                    "--store-chaos-seed",
-                    "--store-chaos-rate",
-                ])
-                .find(|k| **k == flag.as_str())
-            {
-                seen_flags.push(known);
+        if args[i].starts_with('-') {
+            seen_flags.push(&args[i]);
+        }
+        match cli.run.parse_flag(&args[i..]) {
+            Ok(Some(taken)) => {
+                i += taken;
+                continue;
             }
+            Ok(None) => {}
+            Err(msg) => usage_error(&msg),
         }
         match args[i].as_str() {
             "--scale" => {
@@ -398,70 +314,12 @@ fn parse_args() -> Cli {
                 };
                 i += 2;
             }
-            "--trace-out" => {
-                cli.trace_out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--trace-out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--metrics-out" => {
-                cli.metrics_out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--metrics-out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--certs-out" => {
-                cli.certs_out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--certs-out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--no-query-cache" => {
-                cli.query_cache = false;
-                i += 1;
-            }
             "--threads" => {
                 cli.threads = Some(
                     args.get(i + 1)
                         .and_then(|s| s.parse().ok())
                         .filter(|&n| n > 0)
                         .unwrap_or_else(|| usage_error("--threads needs a positive integer")),
-                );
-                i += 2;
-            }
-            "--deadline" => {
-                cli.deadline = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|secs| !secs.is_nan() && *secs >= 0.0)
-                        .unwrap_or_else(|| {
-                            usage_error("--deadline needs a non-negative number of seconds")
-                        }),
-                );
-                i += 2;
-            }
-            "--chaos-seed" => {
-                cli.chaos_seed = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage_error("--chaos-seed needs an unsigned integer")),
-                );
-                i += 2;
-            }
-            "--chaos-rate" => {
-                cli.chaos_rate = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|rate| (0.0..=1.0).contains(rate))
-                        .unwrap_or_else(|| {
-                            usage_error("--chaos-rate needs a probability in 0..=1")
-                        }),
                 );
                 i += 2;
             }
@@ -485,14 +343,6 @@ fn parse_args() -> Cli {
                 cli.report = Some(
                     args.get(i + 1)
                         .unwrap_or_else(|| usage_error("--report needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--store-dir" => {
-                cli.store_dir = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--store-dir needs a directory"))
                         .clone(),
                 );
                 i += 2;
@@ -572,7 +422,7 @@ fn parse_args() -> Cli {
         if cli.store_action.is_none() {
             usage_error("store needs an action: repro store <stat|gc|verify>");
         }
-        if cli.store_dir.is_none() {
+        if cli.run.store_dir.is_none() {
             usage_error("store needs --store-dir <DIR>");
         }
     }
@@ -600,15 +450,22 @@ fn main() {
         store_cmd(&cli);
         return;
     }
-    let knobs = cli.knobs();
-    if knobs.chaos.is_some() {
+    let mut opts = EvalOptions {
+        certify: cli.run.certs_out.is_some(),
+        ..EvalOptions::default()
+    };
+    cli.run.apply(&mut opts.analyzer);
+    if let Some(threads) = cli.threads {
+        opts.threads = threads;
+    }
+    if opts.analyzer.chaos.is_some() {
         silence_injected_panics();
     }
     if cli.cmd == "bench" {
-        bench(&cli, knobs);
+        bench(&cli, &opts);
         return;
     }
-    let telemetry_on = cli.trace_out.is_some() || cli.metrics_out.is_some();
+    let telemetry_on = cli.run.trace_out.is_some() || cli.run.metrics_out.is_some();
     let needs_trace = telemetry_on || cli.cmd == "profile";
     // CDCL search summaries ride along whenever a trace or metrics sink
     // was requested; a bare `profile` keeps the solver uninstrumented.
@@ -625,30 +482,30 @@ fn main() {
     let mut certs: Vec<ProcCerts> = Vec::new();
     match cli.cmd.as_str() {
         "fig5" => fig5(scale),
-        "fig6" => fig6(scale, observer, knobs, &mut certs),
-        "fig7" => fig7(scale, observer, knobs, &mut certs),
-        "fig8" => fig8(scale, observer, knobs, &mut certs),
-        "fig9" => fig9(scale, observer, knobs, &mut certs),
+        "fig6" => fig6(scale, observer, &opts, &mut certs),
+        "fig7" => fig7(scale, observer, &opts, &mut certs),
+        "fig8" => fig8(scale, observer, &opts, &mut certs),
+        "fig9" => fig9(scale, observer, &opts, &mut certs),
         "profile" => {} // runs below, after the observer is finished
-        "ablation-incremental" => ablation_incremental(scale, knobs.query_cache),
+        "ablation-incremental" => ablation_incremental(scale, cli.run.query_cache),
         "ablation-normalize" => ablation_normalize(scale),
         "ablation-interproc" => ablation_interproc(scale),
         "all" => {
             fig5(scale);
-            fig6(scale, observer, knobs, &mut certs);
-            fig7(scale, observer, knobs, &mut certs);
-            fig8(scale, observer, knobs, &mut certs);
-            fig9(scale, observer, knobs, &mut certs);
-            ablation_incremental(scale, knobs.query_cache);
+            fig6(scale, observer, &opts, &mut certs);
+            fig7(scale, observer, &opts, &mut certs);
+            fig8(scale, observer, &opts, &mut certs);
+            fig9(scale, observer, &opts, &mut certs);
+            ablation_incremental(scale, cli.run.query_cache);
             ablation_normalize(scale);
             ablation_interproc(scale);
         }
         _ => unreachable!("parse_args validated the command"),
     }
     if cli.cmd == "profile" {
-        fig9_workload(scale, &mut telemetry, knobs);
+        fig9_workload(scale, &mut telemetry, &opts);
     }
-    if let Some(path) = &cli.certs_out {
+    if let Some(path) = &cli.run.certs_out {
         std::fs::write(path, certs_json(&certs))
             .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
         let n_certs: usize = certs.iter().map(|p| p.store.certs.len()).sum();
@@ -670,22 +527,8 @@ fn main() {
                 profile_top_terms(scale, cli.top);
             }
         }
-        write_sinks(&cli, &out);
+        write_sinks(&cli, &opts, &out);
     }
-}
-
-/// The evaluation options for this invocation: the defaults with the
-/// `--no-query-cache`, `--deadline`, and `--chaos-*` knobs applied.
-fn eval_opts(knobs: RunKnobs) -> EvalOptions {
-    let mut opts = EvalOptions::default();
-    opts.analyzer.query_cache = knobs.query_cache;
-    opts.analyzer.deadline = knobs.deadline;
-    opts.analyzer.chaos = knobs.chaos;
-    opts.certify = knobs.certify;
-    if let Some(threads) = knobs.threads {
-        opts.threads = threads;
-    }
-    opts
 }
 
 /// One line after a figure when procedures faulted (injected or real):
@@ -698,51 +541,30 @@ fn report_incidents(evals: &[(Benchmark, BenchEval)]) {
     }
 }
 
-fn write_sinks(cli: &Cli, out: &TelemetryOutput) {
-    if !(cli.trace_out.is_some() || cli.metrics_out.is_some()) {
+fn write_sinks(cli: &Cli, opts: &EvalOptions, out: &TelemetryOutput) {
+    if !(cli.run.trace_out.is_some() || cli.run.metrics_out.is_some()) {
         return;
     }
+    let budget = opts.analyzer.conflict_budget;
+    let budget = budget.map_or("none".into(), |b| b.to_string());
+    let mut options = vec![opt("conflict_budget", budget)];
+    options.extend(cli.run.manifest_options());
     let manifest = Manifest {
         tool: "repro".into(),
         command: cli.cmd.clone(),
         scale: Some(cli.scale as u64),
-        threads: Some(cli.threads.unwrap_or(EvalOptions::default().threads) as u64),
-        configs: EvalOptions::default()
-            .configs
-            .iter()
-            .map(|c| c.to_string())
-            .collect(),
-        options: {
-            let mut options = vec![
-                opt(
-                    "conflict_budget",
-                    EvalOptions::default()
-                        .analyzer
-                        .conflict_budget
-                        .map_or("none".into(), |b| b.to_string()),
-                ),
-                opt("query_cache", cli.query_cache),
-            ];
-            if let Some(secs) = cli.deadline {
-                options.push(opt("deadline_secs", secs));
-            }
-            if let Some(seed) = cli.chaos_seed {
-                options.push(opt("chaos_seed", seed));
-            }
-            if let Some(rate) = cli.chaos_rate {
-                options.push(opt("chaos_rate", rate));
-            }
-            options
-        },
+        threads: Some(opts.threads as u64),
+        configs: opts.configs.iter().map(|c| c.to_string()).collect(),
+        options,
     };
-    if let Some(path) = &cli.trace_out {
+    if let Some(path) = &cli.run.trace_out {
         match cli.trace_format {
             TraceFormat::Jsonl => out.write_trace(path, Some(&manifest)),
             TraceFormat::Perfetto => out.write_trace_perfetto(path, Some(&manifest)),
         }
         .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
     }
-    if let Some(path) = &cli.metrics_out {
+    if let Some(path) = &cli.run.metrics_out {
         out.write_metrics(path, Some(&manifest))
             .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
     }
@@ -774,7 +596,7 @@ fn bench_hist_entry(m: &MetricsRegistry, name: &str) -> String {
 /// deterministic and identical across reps), then writes the
 /// `BENCH_solver.json` baseline: wall seconds, peak RSS, solver
 /// counters, and the LBD / conflicts-per-restart histogram summaries.
-fn bench(cli: &Cli, knobs: RunKnobs) {
+fn bench(cli: &Cli, opts: &EvalOptions) {
     let out_path = cli.out.as_deref().unwrap_or("BENCH_solver.json");
     let scale = cli.scale;
     println!(
@@ -790,10 +612,9 @@ fn bench(cli: &Cli, knobs: RunKnobs) {
     // counter sets differ — an earlier snapshot gated the identical
     // large-suite evaluation under two labels.
     for (wi, (workload, kinds)) in BENCH_WORKLOADS.iter().enumerate() {
-        let opts = eval_opts(knobs);
         let mut best: Option<(f64, MetricsRegistry)> = None;
         for _ in 0..cli.best_of {
-            let (wall, metrics) = acspec_bench::bench_workload_run(kinds, scale, &opts);
+            let (wall, metrics) = acspec_bench::bench_workload_run(kinds, scale, opts);
             let better = match &best {
                 None => true,
                 Some((w, _)) => wall < *w,
@@ -982,14 +803,8 @@ fn corpus_cmd(cli: &Cli) {
             // content-addressed per procedure, so sharing is safe and a
             // second `corpus run --store-dir D` replays every base leg
             // warm (zero solver queries).
-            let store = cli.store_dir.as_ref().map(|dir| {
-                let chaos = (cli.store_chaos_seed.is_some() || cli.store_chaos_rate.is_some())
-                    .then(|| {
-                        ChaosConfig::new(
-                            cli.store_chaos_seed.unwrap_or(0),
-                            cli.store_chaos_rate.unwrap_or(0.0),
-                        )
-                    });
+            let store = cli.run.store_dir.as_ref().map(|dir| {
+                let chaos = ChaosConfig::from_flags(cli.store_chaos_seed, cli.store_chaos_rate);
                 StoreSession::open_with_chaos(dir, chaos)
                     .unwrap_or_else(|e| usage_error(&format!("cannot open store {dir}: {e}")))
             });
@@ -1089,7 +904,11 @@ fn corpus_cmd(cli: &Cli) {
 /// `repro store <stat|gc|verify> --store-dir DIR`: maintenance over a
 /// persistent result store (see `crates/store` and DESIGN.md §4.9).
 fn store_cmd(cli: &Cli) {
-    let dir = cli.store_dir.as_deref().expect("validated by parse_args");
+    let dir = cli
+        .run
+        .store_dir
+        .as_deref()
+        .expect("validated by parse_args");
     let mut store = ResultStore::open(dir)
         .unwrap_or_else(|e| usage_error(&format!("cannot open store {dir}: {e}")));
     let action = cli
@@ -1175,11 +994,10 @@ fn store_cmd(cli: &Cli) {
 
 /// Runs the Figure 9 evaluation workload (large benchmarks) silently,
 /// feeding the observer — the data source for `repro profile`.
-fn fig9_workload(scale: usize, observer: &mut dyn SessionObserver, knobs: RunKnobs) {
-    let opts = eval_opts(knobs);
+fn fig9_workload(scale: usize, observer: &mut dyn SessionObserver, opts: &EvalOptions) {
     for e in entries(&[SuiteKind::Large]) {
         let bm = generate_entry(e, scale);
-        let _ = evaluate_with(&bm, &opts, observer);
+        let _ = evaluate_with(&bm, opts, observer);
     }
 }
 
@@ -1472,15 +1290,14 @@ fn eval_entries(
     kinds: &[SuiteKind],
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: &EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) -> Vec<(Benchmark, BenchEval)> {
-    let opts = eval_opts(knobs);
     entries(kinds)
         .into_iter()
         .map(|e| {
             let bm = generate_entry(e, scale);
-            let mut ev = evaluate_with(&bm, &opts, observer);
+            let mut ev = evaluate_with(&bm, opts, observer);
             certs.append(&mut ev.certs);
             (bm, ev)
         })
@@ -1491,7 +1308,7 @@ fn eval_entries(
 fn fig6(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: &EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 6: abstract configurations × clause pruning (small benchmarks, scale 1/{scale}) ==\n");
@@ -1499,7 +1316,7 @@ fn fig6(
         &[SuiteKind::Samate, SuiteKind::Small],
         scale,
         observer,
-        knobs,
+        opts,
         certs,
     );
     let mut rows = Vec::new();
@@ -1543,11 +1360,11 @@ fn fig6(
 fn fig7(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: &EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 7: classification on labeled SAMATE corpora (scale 1/{scale}) ==\n");
-    let evals = eval_entries(&[SuiteKind::Samate], scale, observer, knobs, certs);
+    let evals = eval_entries(&[SuiteKind::Samate], scale, observer, opts, certs);
     let mut rows = Vec::new();
     let mut totals = [(0usize, 0usize, 0usize); 4];
     for (bm, ev) in &evals {
@@ -1602,11 +1419,11 @@ fn fig7(
 fn fig8(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: &EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 8: abstract configurations on large benchmarks (scale 1/{scale}) ==\n");
-    let evals = eval_entries(&[SuiteKind::Large], scale, observer, knobs, certs);
+    let evals = eval_entries(&[SuiteKind::Large], scale, observer, opts, certs);
     let mut rows = Vec::new();
     let mut tot = [0usize; 7];
     for (bm, ev) in &evals {
@@ -1644,18 +1461,17 @@ fn fig8(
 fn fig9(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: &EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 9: per-procedure averages on large benchmarks (scale 1/{scale}) ==\n");
-    let opts = eval_opts(knobs);
     let mut totals = StageTotals::default();
     let evals: Vec<(Benchmark, BenchEval)> = entries(&[SuiteKind::Large])
         .into_iter()
         .map(|e| {
             let bm = generate_entry(e, scale);
             let mut tee = TeeObserver::new(&mut totals, &mut *observer);
-            let mut ev = evaluate_with(&bm, &opts, &mut tee);
+            let mut ev = evaluate_with(&bm, opts, &mut tee);
             certs.append(&mut ev.certs);
             (bm, ev)
         })

@@ -56,6 +56,13 @@ fn retired_search_options_are_usage_errors() {
 }
 
 #[test]
+fn deadline_beyond_a_duration_is_a_usage_error() {
+    for secs in ["inf", "1e20"] {
+        assert_usage_error(&["fig9", "--scale", "8", "--deadline", secs], "--deadline");
+    }
+}
+
+#[test]
 fn flag_outside_its_command_whitelist_is_rejected() {
     // Valid flags for other commands must not silently no-op.
     assert_usage_error(&["fig5", "--best-of", "2"], "not valid for `repro fig5`");
@@ -67,6 +74,7 @@ fn flag_outside_its_command_whitelist_is_rejected() {
         &["bench", "--trace-out", "t.jsonl"],
         "not valid for `repro bench`",
     );
+    assert_usage_error(&["fig9", "--store-dir", "s"], "not valid for `repro fig9`");
     assert_usage_error(
         &["ablation-normalize", "--threads", "2"],
         "not valid for `repro ablation-normalize`",

@@ -58,7 +58,7 @@ pub use certs::{
     certs_json, certs_json_from_fragments, proc_certs_json, ChainRecord, ChainStepRecord, Claim,
     ClaimKind, ProcCerts, StepEvidence, CERTS_SCHEMA_VERSION,
 };
-pub use config::{AcspecOptions, ConfigName, DeadMetric};
+pub use config::{AcspecOptions, ConfigName, DeadMetric, RunConfig};
 pub use driver::{analyze_procedure, analyze_procedure_multi, cons_baseline, AcspecError};
 pub use fingerprint::{fingerprint_text, procedure_fingerprint};
 pub use interproc::{infer_preconditions, InferredContracts};

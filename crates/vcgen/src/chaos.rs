@@ -58,6 +58,14 @@ impl ChaosConfig {
         }
     }
 
+    /// The harness a seed flag and a rate flag ask for: none unless at
+    /// least one was given, the other then defaulting to seed 0 or rate
+    /// 0, so flagless runs stay byte-identical.
+    pub fn from_flags(seed: Option<u64>, rate: Option<f64>) -> Option<ChaosConfig> {
+        (seed.is_some() || rate.is_some())
+            .then(|| ChaosConfig::new(seed.unwrap_or(0), rate.unwrap_or(0.0)))
+    }
+
     /// Derives the per-procedure configuration: same rate, seed mixed
     /// with the procedure name. Each procedure then owns an independent
     /// deterministic stream, so the injected faults do not depend on
@@ -108,6 +116,23 @@ impl ChaosFault {
     pub fn reason(self) -> FaultReason {
         FaultReason::Chaos
     }
+}
+
+/// Keeps the default panic-hook backtrace off stderr for the panics
+/// [`ChaosFault::Panic`] injects on purpose (their message starts with
+/// `chaos:`): the worker loop catches them and reports them as
+/// incidents. Real panics still reach the previous hook.
+pub fn silence_injected_panics() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let injected = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("chaos:"));
+        if !injected {
+            prev(info);
+        }
+    }));
 }
 
 /// Monotone counters for injected faults (telemetry's `chaos.*`).

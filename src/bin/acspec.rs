@@ -11,7 +11,9 @@
 //!   --all-configs              analyze under all four configurations
 //!   --specs                    print the almost-correct specifications
 //!   --format <text|json>       output format (default text)
-//!   --triage                    rank all warnings by confidence
+//!   --triage                   rank all warnings by confidence
+//!
+//! run flags, shared with `repro` (`acspec_core::RunConfig`):
 //!   --trace-out <path>         write a JSONL span trace of the run
 //!   --metrics-out <path>       write a JSON metrics snapshot
 //!   --certs-out <path>         write a certificate sidecar; the report
@@ -24,7 +26,6 @@
 //!                              procedures are re-emitted byte-identically
 //!                              with zero solver queries (corrupt entries
 //!                              are quarantined and recomputed)
-//!   --no-store                 ignore --store-dir (cold run)
 //! ```
 //!
 //! `.c` inputs go through the HAVOC-style front end (null-dereference
@@ -43,11 +44,17 @@ use std::process::ExitCode;
 use acspec_core::{
     certs_json_from_fragments, infer_preconditions, program_report_json_with, triage_program,
     AcspecOptions, AnalysisOutcome, ConfigName, NullObserver, ProcOutcome, ProcReport,
-    ProgramAnalysis, SessionObserver, SibStatus, StoreSession, TelemetryObserver,
+    ProgramAnalysis, RunConfig, SessionObserver, SibStatus, StoreSession, TelemetryObserver,
 };
 use acspec_ir::Program;
 use acspec_telemetry::{opt, Manifest};
-use acspec_vcgen::chaos::ChaosConfig;
+use acspec_vcgen::chaos::silence_injected_panics;
+
+const USAGE: &str = "usage: acspec <file.c | file.acs> [--config Conc|A0|A1|A2] [--prune k] \
+[--cons] [--interproc] [--all-configs] [--specs] [--triage] [--format text|json] \
+[--trace-out path] [--metrics-out path] [--certs-out path] [--no-query-cache] \
+[--deadline secs] [--chaos-seed n] [--chaos-rate p] [--store-dir path]\n\
+usage: acspec check <report.json | certs.json>";
 
 struct Cli {
     path: String,
@@ -59,15 +66,7 @@ struct Cli {
     show_specs: bool,
     json: bool,
     triage: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    certs_out: Option<String>,
-    query_cache: bool,
-    deadline: Option<f64>,
-    chaos_seed: Option<u64>,
-    chaos_rate: Option<f64>,
-    store_dir: Option<String>,
-    no_store: bool,
+    run: RunConfig,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -81,19 +80,15 @@ fn parse_args() -> Result<Cli, String> {
         show_specs: false,
         json: false,
         triage: false,
-        trace_out: None,
-        metrics_out: None,
-        certs_out: None,
-        query_cache: true,
-        deadline: None,
-        chaos_seed: None,
-        chaos_rate: None,
-        store_dir: None,
-        no_store: false,
+        run: RunConfig::default(),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
+        if let Some(taken) = cli.run.parse_flag(&args[i..])? {
+            i += taken;
+            continue;
+        }
         match args[i].as_str() {
             "--config" => {
                 let v = args.get(i + 1).ok_or("--config needs a value")?;
@@ -140,61 +135,9 @@ fn parse_args() -> Result<Cli, String> {
                 };
                 i += 2;
             }
-            "--trace-out" => {
-                let v = args.get(i + 1).ok_or("--trace-out needs a path")?;
-                cli.trace_out = Some(v.clone());
-                i += 2;
-            }
-            "--metrics-out" => {
-                let v = args.get(i + 1).ok_or("--metrics-out needs a path")?;
-                cli.metrics_out = Some(v.clone());
-                i += 2;
-            }
-            "--certs-out" => {
-                let v = args.get(i + 1).ok_or("--certs-out needs a path")?;
-                cli.certs_out = Some(v.clone());
-                i += 2;
-            }
-            "--no-query-cache" => {
-                cli.query_cache = false;
-                i += 1;
-            }
-            "--deadline" => {
-                let v = args.get(i + 1).ok_or("--deadline needs seconds")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| "--deadline needs a number of seconds")?;
-                if secs.is_nan() || secs < 0.0 {
-                    return Err("--deadline must be non-negative".into());
-                }
-                cli.deadline = Some(secs);
-                i += 2;
-            }
-            "--chaos-seed" => {
-                let v = args.get(i + 1).ok_or("--chaos-seed needs a value")?;
-                cli.chaos_seed = Some(v.parse().map_err(|_| "--chaos-seed needs a u64")?);
-                i += 2;
-            }
-            "--chaos-rate" => {
-                let v = args.get(i + 1).ok_or("--chaos-rate needs a value")?;
-                let rate: f64 = v.parse().map_err(|_| "--chaos-rate needs a number")?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err("--chaos-rate must be in 0..=1".into());
-                }
-                cli.chaos_rate = Some(rate);
-                i += 2;
-            }
-            "--store-dir" => {
-                let v = args.get(i + 1).ok_or("--store-dir needs a path")?;
-                cli.store_dir = Some(v.clone());
-                i += 2;
-            }
-            "--no-store" => {
-                cli.no_store = true;
-                i += 1;
-            }
             "--help" | "-h" => {
-                return Err(String::new());
+                println!("{USAGE}");
+                std::process::exit(0);
             }
             other if cli.path.is_empty() && !other.starts_with('-') => {
                 cli.path = other.to_string();
@@ -317,17 +260,8 @@ fn run() -> Result<bool, String> {
     if let Some(k) = cli.prune {
         opts = opts.with_k_pruning(k);
     }
-    if !cli.query_cache {
-        opts.analyzer.query_cache = false;
-    }
-    if let Some(secs) = cli.deadline {
-        opts.analyzer.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
-    if cli.chaos_seed.is_some() || cli.chaos_rate.is_some() {
-        opts.analyzer.chaos = Some(ChaosConfig::new(
-            cli.chaos_seed.unwrap_or(0),
-            cli.chaos_rate.unwrap_or(0.0),
-        ));
+    cli.run.apply(&mut opts.analyzer);
+    if opts.analyzer.chaos.is_some() {
         silence_injected_panics();
     }
 
@@ -374,7 +308,7 @@ fn run() -> Result<bool, String> {
     // shared between the Cons baseline and every requested configuration.
     // Telemetry recording costs a per-query hook, so the observer is a
     // no-op unless a sink was requested.
-    let telemetry_on = cli.trace_out.is_some() || cli.metrics_out.is_some();
+    let telemetry_on = cli.run.trace_out.is_some() || cli.run.metrics_out.is_some();
     let mut null = NullObserver;
     let mut telemetry = TelemetryObserver::new();
     let observer: &mut dyn SessionObserver = if telemetry_on {
@@ -386,17 +320,17 @@ fn run() -> Result<bool, String> {
     // deadline (wall-clock timeouts make cached reports nondeterministic,
     // so ProgramAnalysis refuses the key anyway). When solver chaos is on,
     // the same seed and rate drive store-level I/O faults.
-    let store = match (&cli.store_dir, cli.no_store) {
-        (Some(dir), false) => Some(
+    let store = match &cli.run.store_dir {
+        Some(dir) => Some(
             StoreSession::open_with_chaos(std::path::Path::new(dir), opts.analyzer.chaos)
                 .map_err(|e| format!("cannot open store {dir}: {e}"))?,
         ),
-        _ => None,
+        None => None,
     };
     let mut results = ProgramAnalysis::new(&program)
         .options(opts)
         .configs(&configs)
-        .certify(cli.certs_out.is_some())
+        .certify(cli.run.certs_out.is_some())
         .store(store.as_ref())
         .run(observer);
 
@@ -412,7 +346,7 @@ fn run() -> Result<bool, String> {
             }
         }
     }
-    if let Some(path) = &cli.certs_out {
+    if let Some(path) = &cli.run.certs_out {
         std::fs::write(path, certs_json_from_fragments(&cert_fragments))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -421,17 +355,9 @@ fn run() -> Result<bool, String> {
         let mut options = vec![
             opt("prune", cli.prune.map_or("off".into(), |k| k.to_string())),
             opt("interproc", cli.interproc),
-            opt("query_cache", opts.analyzer.query_cache),
         ];
-        if let Some(secs) = cli.deadline {
-            options.push(opt("deadline_secs", secs));
-        }
-        if let Some(chaos) = opts.analyzer.chaos {
-            options.push(opt("chaos_seed", chaos.seed));
-            options.push(opt("chaos_rate", chaos.rate));
-        }
+        options.extend(cli.run.manifest_options());
         if let Some(store) = &store {
-            options.push(opt("store_dir", cli.store_dir.clone().unwrap_or_default()));
             telemetry.record_store(&store.stats());
         }
         let manifest = Manifest {
@@ -443,11 +369,11 @@ fn run() -> Result<bool, String> {
             options,
         };
         let out = telemetry.finish();
-        if let Some(path) = &cli.trace_out {
+        if let Some(path) = &cli.run.trace_out {
             out.write_trace(path, Some(&manifest))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
-        if let Some(path) = &cli.metrics_out {
+        if let Some(path) = &cli.run.metrics_out {
             out.write_metrics(path, Some(&manifest))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
@@ -512,27 +438,10 @@ fn run() -> Result<bool, String> {
     if cli.json {
         println!(
             "{}",
-            program_report_json_with(&json_reports, &incidents, cli.certs_out.as_deref())
+            program_report_json_with(&json_reports, &incidents, cli.run.certs_out.as_deref())
         );
     }
     Ok(any_warning)
-}
-
-/// Keeps the default panic-hook backtrace off stderr for the panics
-/// the chaos harness injects on purpose — they are caught by the
-/// worker loop and reported as incidents. Real panics still reach the
-/// previous hook.
-fn silence_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.starts_with("chaos:"));
-        if !injected {
-            prev(info);
-        }
-    }));
 }
 
 fn main() -> ExitCode {
@@ -545,17 +454,8 @@ fn main() -> ExitCode {
             }
         }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: acspec <file.c | file.acs> [--config Conc|A0|A1|A2] [--prune k] \
-                 [--cons] [--interproc] [--all-configs] [--specs] [--triage] \
-                 [--format text|json] [--trace-out path] [--metrics-out path] \
-                 [--certs-out path] [--no-query-cache] [--deadline secs] \
-                 [--chaos-seed n] [--chaos-rate p] [--store-dir path] [--no-store]\n\
-                 usage: acspec check <report.json | certs.json>"
-            );
+            eprintln!("error: {msg}");
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
