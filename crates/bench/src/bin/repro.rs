@@ -76,8 +76,8 @@
 use std::time::Instant;
 
 use acspec_bench::{
-    classify, evaluate_with, format_table, BenchEval, EvalOptions, BENCH_COUNTERS, BENCH_WORKLOADS,
-    PRUNE_LEVELS,
+    classify, evaluate_with, format_table, normalize_ablation, BenchEval, EvalOptions,
+    BENCH_COUNTERS, BENCH_WORKLOADS, PRUNE_LEVELS,
 };
 use acspec_benchgen::suite::{generate_entry, SuiteEntry, SuiteKind, SUITE};
 use acspec_benchgen::Benchmark;
@@ -1585,31 +1585,11 @@ fn ablation_incremental(scale: usize, query_cache: bool) {
 /// everything and over-weakens (§4.3's motivation).
 fn ablation_normalize(scale: usize) {
     println!("== Ablation: Normalize on/off under k=1 pruning (scale 1/{scale}) ==\n");
-    let bm = generate_entry(&SUITE[2], scale);
-    let mut rows = Vec::new();
-    for apply in [true, false] {
-        let mut warnings = 0usize;
-        for proc in &bm.program.procedures {
-            if proc.body.is_none() {
-                continue;
-            }
-            let mut opts = AcspecOptions::for_config(ConfigName::Conc).with_k_pruning(1);
-            opts.apply_normalize = apply;
-            let r = analyze_procedure(&bm.program, proc, &opts).expect("analyzes");
-            if !r.timed_out() {
-                warnings += r.warnings.len();
-            }
-        }
-        rows.push(vec![
-            if apply {
-                "Normalize on"
-            } else {
-                "Normalize off"
-            }
-            .to_string(),
-            warnings.to_string(),
-        ]);
-    }
+    let [on, off] = normalize_ablation(scale);
+    let rows = vec![
+        vec!["Normalize on".to_string(), on.to_string()],
+        vec!["Normalize off".to_string(), off.to_string()],
+    ];
     println!(
         "{}",
         format_table(&["Variant", "warnings (Conc, k=1)"], &rows)

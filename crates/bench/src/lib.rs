@@ -18,8 +18,8 @@ use std::time::Instant;
 use acspec_benchgen::suite::{generate_entry, SuiteKind, SUITE};
 use acspec_benchgen::Benchmark;
 use acspec_core::{
-    AcspecOptions, AnalysisIncident, ConfigName, NullObserver, ProcCerts, ProcOutcome, ProcReport,
-    ProgramAnalysis, SessionObserver, SibStatus, TelemetryObserver,
+    analyze_procedure, AcspecOptions, AnalysisIncident, ConfigName, NullObserver, ProcCerts,
+    ProcOutcome, ProcReport, ProgramAnalysis, SessionObserver, SibStatus, TelemetryObserver,
 };
 use acspec_predabs::normalize::PruneConfig;
 use acspec_telemetry::MetricsRegistry;
@@ -285,6 +285,30 @@ impl BenchEval {
             rows.iter().map(|r| r.stats.seconds()).sum::<f64>() / n,
         )
     }
+}
+
+/// The Normalize ablation (`repro ablation-normalize`): Conc warnings
+/// under `k = 1` pruning on ansicon, with `Normalize` on and then off.
+/// Procedures that time out count no warnings.
+pub fn normalize_ablation(scale: usize) -> [usize; 2] {
+    let bm = generate_entry(&SUITE[2], scale);
+    [true, false].map(|apply| {
+        let mut opts = AcspecOptions::for_config(ConfigName::Conc).with_k_pruning(1);
+        opts.apply_normalize = apply;
+        bm.program
+            .procedures
+            .iter()
+            .filter(|proc| proc.body.is_some())
+            .map(|proc| {
+                let r = analyze_procedure(&bm.program, proc, &opts).expect("analyzes");
+                if r.timed_out() {
+                    0
+                } else {
+                    r.warnings.len()
+                }
+            })
+            .sum()
+    })
 }
 
 /// Classification counts against ground truth (Figure 7): correctly

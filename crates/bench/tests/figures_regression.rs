@@ -2,7 +2,7 @@
 //! generation is seeded, so these counts are exact; if a pipeline change
 //! shifts them, EXPERIMENTS.md must be regenerated alongside this test.
 
-use acspec_bench::{classify, evaluate, EvalOptions};
+use acspec_bench::{classify, evaluate, normalize_ablation, EvalOptions};
 use acspec_benchgen::suite::{generate_entry, SUITE};
 
 /// Figure 7 totals: `(C, FP, FN)` per configuration, exactly as quoted.
@@ -54,5 +54,17 @@ fn firefly_crossover_is_stable() {
     assert!(
         conc_k1 > a1_k1,
         "the crossover: Conc k=1 ({conc_k1}) > A1 k=1 ({a1_k1})"
+    );
+}
+
+/// The Normalize ablation: at `k = 1`, Conc on ansicon keeps 10 warnings
+/// with `Normalize` and 24 without, because pruning then sees only
+/// maximal clauses (§4.3).
+#[test]
+fn normalize_ablation_matches_experiments_md() {
+    assert_eq!(
+        normalize_ablation(1),
+        [10, 24],
+        "warnings with, without Normalize"
     );
 }

@@ -9,15 +9,26 @@ pub struct CParseError {
     pub msg: String,
     /// 1-based line.
     pub line: u32,
+    /// 1-based column.
+    pub col: u32,
 }
 
 impl std::fmt::Display for CParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "C parse error at line {}: {}", self.line, self.msg)
+        write!(
+            f,
+            "C parse error at {}:{}: {}",
+            self.line, self.col, self.msg
+        )
     }
 }
 
 impl std::error::Error for CParseError {}
+
+/// The deepest nesting of expressions and statements the parser
+/// accepts. Parsing recurses once per level, so without a cap a
+/// pathological input could overflow the stack.
+const MAX_DEPTH: usize = 256;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -32,17 +43,23 @@ const PUNCTS: &[&str] = &[
     "[", "]", ";", ",", ":", "=", "<", ">", "!", "*", "+", "-", "&", ".",
 ];
 
-fn lex(src: &str) -> Result<Vec<(Tok, u32)>, CParseError> {
+/// A token with its 1-based line and column.
+type Spanned = (Tok, u32, u32);
+
+fn lex(src: &str) -> Result<Vec<Spanned>, CParseError> {
     let mut out = Vec::new();
     let bytes = src.as_bytes();
     let n = bytes.len();
     let mut i = 0;
     let mut line = 1u32;
+    let mut line_start = 0;
     'outer: while i < n {
         let c = bytes[i] as char;
+        let col = (i - line_start + 1) as u32;
         if c == '\n' {
             line += 1;
             i += 1;
+            line_start = i;
             continue;
         }
         if c.is_whitespace() {
@@ -60,6 +77,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, CParseError> {
             while i + 1 < n && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
                 if bytes[i] == b'\n' {
                     line += 1;
+                    line_start = i + 1;
                 }
                 i += 1;
             }
@@ -74,8 +92,9 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, CParseError> {
             let v: i64 = src[start..i].parse().map_err(|_| CParseError {
                 msg: "integer out of range".into(),
                 line,
+                col,
             })?;
-            out.push((Tok::Num(v), line));
+            out.push((Tok::Num(v), line, col));
             continue;
         }
         if c.is_ascii_alphabetic() || c == '_' {
@@ -83,12 +102,12 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, CParseError> {
             while i < n && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            out.push((Tok::Ident(src[start..i].to_string()), line));
+            out.push((Tok::Ident(src[start..i].to_string()), line, col));
             continue;
         }
         for p in PUNCTS {
             if src[i..].starts_with(p) {
-                out.push((Tok::Punct(p), line));
+                out.push((Tok::Punct(p), line, col));
                 i += p.len();
                 continue 'outer;
             }
@@ -96,15 +115,18 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, CParseError> {
         return Err(CParseError {
             msg: format!("unexpected character `{c}`"),
             line,
+            col,
         });
     }
-    out.push((Tok::Eof, line));
+    out.push((Tok::Eof, line, (n - line_start + 1) as u32));
     Ok(out)
 }
 
 struct P {
-    toks: Vec<(Tok, u32)>,
+    toks: Vec<Spanned>,
     pos: usize,
+    /// Nesting level of the expression or statement being parsed.
+    depth: usize,
 }
 
 impl P {
@@ -116,11 +138,30 @@ impl P {
         self.toks[self.pos].1
     }
 
+    fn col(&self) -> u32 {
+        self.toks[self.pos].2
+    }
+
     fn err(&self, msg: impl Into<String>) -> CParseError {
         CParseError {
             msg: msg.into(),
             line: self.line(),
+            col: self.col(),
         }
+    }
+
+    /// Parses one level deeper, refusing to go past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut P) -> Result<T, CParseError>,
+    ) -> Result<T, CParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn bump(&mut self) -> Tok {
@@ -162,7 +203,7 @@ impl P {
 
     /// Parses a base type name if the next tokens look like one.
     fn try_base_type(&mut self) -> Option<CType> {
-        let (tok, _) = self.toks[self.pos].clone();
+        let (tok, ..) = self.toks[self.pos].clone();
         let base = match tok {
             Tok::Ident(s) => s,
             _ => return None,
@@ -204,7 +245,7 @@ impl P {
             && self
                 .toks
                 .get(self.pos + 1)
-                .is_some_and(|(t, _)| t == &Tok::Punct("*"))
+                .is_some_and(|(t, ..)| t == &Tok::Punct("*"))
     }
 
     /// Parses `(*name)(param-types)` after the return type. Parameter
@@ -241,7 +282,7 @@ impl P {
             let third_is_brace = self
                 .toks
                 .get(self.pos + 2)
-                .is_some_and(|(t, _)| t == &Tok::Punct("{"));
+                .is_some_and(|(t, ..)| t == &Tok::Punct("{"));
             if self.at_ident("struct") && third_is_brace {
                 prog.structs.push(self.parse_struct()?);
                 continue;
@@ -282,7 +323,7 @@ impl P {
             let second_is_close = self
                 .toks
                 .get(self.pos + 1)
-                .is_some_and(|(t, _)| t == &Tok::Punct(")"));
+                .is_some_and(|(t, ..)| t == &Tok::Punct(")"));
             if self.at_ident("void") && second_is_close {
                 self.bump();
                 self.eat(")")?;
@@ -339,7 +380,7 @@ impl P {
 
     fn parse_stmt(&mut self) -> Result<CStmt, CParseError> {
         if self.peek() == &Tok::Punct("{") {
-            return Ok(CStmt::Block(self.parse_block()?));
+            return Ok(CStmt::Block(self.nested(P::parse_block)?));
         }
         if self.at_ident("if") {
             self.bump();
@@ -435,7 +476,7 @@ impl P {
                         }
                         return Err(self.err("case bodies must end with `break`"));
                     }
-                    body.push(self.parse_stmt()?);
+                    body.push(self.nested(P::parse_stmt)?);
                 }
                 arms.push((label, body));
             }
@@ -456,11 +497,13 @@ impl P {
     }
 
     fn parse_stmt_as_block(&mut self) -> Result<Vec<CStmt>, CParseError> {
-        if self.peek() == &Tok::Punct("{") {
-            self.parse_block()
-        } else {
-            Ok(vec![self.parse_stmt()?])
-        }
+        self.nested(|p| {
+            if p.peek() == &Tok::Punct("{") {
+                p.parse_block()
+            } else {
+                Ok(vec![p.parse_stmt()?])
+            }
+        })
     }
 
     /// `i++` / `i--` / `i += e` / ordinary assignment, for `for` steps.
@@ -625,15 +668,15 @@ impl P {
 
     fn parse_unary(&mut self) -> Result<CExpr, CParseError> {
         if self.try_eat("!") {
-            return Ok(CExpr::Not(Box::new(self.parse_unary()?)));
+            return Ok(CExpr::Not(Box::new(self.nested(P::parse_unary)?)));
         }
         if self.try_eat("-") {
-            return Ok(CExpr::Neg(Box::new(self.parse_unary()?)));
+            return Ok(CExpr::Neg(Box::new(self.nested(P::parse_unary)?)));
         }
         if self.peek() == &Tok::Punct("*") {
             let line = self.line();
             self.bump();
-            return Ok(CExpr::Deref(Box::new(self.parse_unary()?), line));
+            return Ok(CExpr::Deref(Box::new(self.nested(P::parse_unary)?), line));
         }
         self.parse_postfix()
     }
@@ -649,7 +692,7 @@ impl P {
                 // `(*p).f` ≡ `p->f`, and `a[i].f` on an array of structs
                 // is field access at the element address `a + i`;
                 // by-value struct access is otherwise outside the subset.
-                let line = self.line();
+                let (line, col) = (self.line(), self.col());
                 let f = self.ident()?;
                 match e {
                     CExpr::Deref(inner, _) => {
@@ -665,13 +708,14 @@ impl P {
                                  got {other:?}"
                             ),
                             line,
+                            col,
                         })
                     }
                 }
             } else if self.peek() == &Tok::Punct("[") {
                 let line = self.line();
                 self.bump();
-                let idx = self.parse_expr()?;
+                let idx = self.nested(P::parse_expr)?;
                 self.eat("]")?;
                 e = CExpr::Index(Box::new(e), Box::new(idx), line);
             } else {
@@ -681,23 +725,23 @@ impl P {
     }
 
     fn parse_primary(&mut self) -> Result<CExpr, CParseError> {
-        let line = self.line();
+        let (line, col) = (self.line(), self.col());
         match self.bump() {
             Tok::Num(n) => Ok(CExpr::Num(n)),
-            Tok::Punct("(") => {
+            Tok::Punct("(") => self.nested(|p| {
                 // Cast? `(type *) expr` — skip the cast.
-                let save = self.pos;
-                if let Some(base) = self.try_base_type() {
-                    let _ = self.wrap_pointers(base);
-                    if self.try_eat(")") {
-                        return self.parse_unary();
+                let save = p.pos;
+                if let Some(base) = p.try_base_type() {
+                    let _ = p.wrap_pointers(base);
+                    if p.try_eat(")") {
+                        return p.parse_unary();
                     }
-                    self.pos = save;
+                    p.pos = save;
                 }
-                let e = self.parse_expr()?;
-                self.eat(")")?;
+                let e = p.parse_expr()?;
+                p.eat(")")?;
                 Ok(e)
-            }
+            }),
             Tok::Ident(name) => {
                 if name == "NULL" {
                     return Ok(CExpr::Null);
@@ -724,7 +768,7 @@ impl P {
                     if !self.try_eat(")") {
                         loop {
                             // `sizeof(T)` is modeled as an opaque size.
-                            args.push(self.parse_expr()?);
+                            args.push(self.nested(P::parse_expr)?);
                             if !self.try_eat(",") {
                                 break;
                             }
@@ -738,6 +782,7 @@ impl P {
             other => Err(CParseError {
                 msg: format!("expected expression, found {other:?}"),
                 line,
+                col,
             }),
         }
     }
@@ -752,7 +797,11 @@ impl P {
 /// Returns [`CParseError`] with a line number on malformed input.
 pub fn parse_c(src: &str) -> Result<CProgram, CParseError> {
     let toks = lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.parse_program()
 }
 

@@ -109,15 +109,14 @@ pub struct AcspecOptions {
     pub apply_normalize: bool,
     /// Analyzer budget (the 10-second-timeout stand-in).
     pub analyzer: AnalyzerConfig,
-    /// Cap on `|Q|`; larger vocabularies time out (ALL-SAT is 2^|Q|).
-    pub max_predicates: usize,
-    /// Cap on the number of cover clauses enumerated by ALL-SAT.
-    pub max_cover_clauses: usize,
-    /// Cap on clause subsets visited by Algorithm 2.
-    pub max_search_nodes: usize,
-    /// Cap on the clause-set size during `Normalize`.
-    pub normalize_max_clauses: usize,
 }
+
+/// Cap on the cover clauses ALL-SAT enumerates for one configuration.
+/// `|Q|` itself is capped at [`acspec_predabs::MAX_PREDICATES`].
+pub(crate) const MAX_COVER_CLAUSES: usize = 512;
+
+/// Cap on the clause subsets Algorithm 2 visits for one configuration.
+pub(crate) const MAX_SEARCH_NODES: usize = 3_000;
 
 impl Default for AcspecOptions {
     fn default() -> Self {
@@ -127,10 +126,6 @@ impl Default for AcspecOptions {
             prune: PruneConfig::default(),
             apply_normalize: true,
             analyzer: AnalyzerConfig::default(),
-            max_predicates: 12,
-            max_cover_clauses: 512,
-            max_search_nodes: 3_000,
-            normalize_max_clauses: 1_024,
         }
     }
 }

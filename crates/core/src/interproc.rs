@@ -22,10 +22,10 @@ use acspec_ir::stmt::Stmt;
 use acspec_predabs::clause::clauses_to_formula;
 use acspec_predabs::cover::predicate_cover_capped;
 use acspec_predabs::mine::{mine_predicates, Abstraction};
-use acspec_predabs::normalize::normalize;
+use acspec_predabs::normalize::{normalize, MAX_PREDICATES};
 use acspec_vcgen::analyzer::ProcAnalyzer;
 
-use crate::config::AcspecOptions;
+use crate::config::{AcspecOptions, MAX_COVER_CLAUSES};
 use crate::driver::AcspecError;
 
 /// Result of the inference pass.
@@ -131,13 +131,13 @@ pub fn infer_preconditions(
             .into_iter()
             .filter(|a| a.nu_consts().is_empty())
             .collect();
-        if q.is_empty() || q.len() > opts.max_predicates {
+        if q.is_empty() || q.len() > MAX_PREDICATES {
             continue;
         }
         let Ok(baseline_dead) = az.dead_set(&[]) else {
             continue;
         };
-        let Ok(cover) = predicate_cover_capped(&mut az, &q, opts.max_cover_clauses) else {
+        let Ok(cover) = predicate_cover_capped(&mut az, &q, MAX_COVER_CLAUSES) else {
             continue;
         };
         if cover.clauses.is_empty() {
@@ -158,7 +158,7 @@ pub fn infer_preconditions(
         if dead.difference(&baseline_dead).next().is_some() {
             continue;
         }
-        let simplified = normalize(&cover.clauses, opts.normalize_max_clauses);
+        let simplified = normalize(&cover.clauses);
         let spec = clauses_to_formula(&simplified, &cover.preds);
         let target = out
             .procedures

@@ -5,9 +5,8 @@
 //! [`acspec_store`] knows nothing about reports — it moves validated
 //! byte payloads. This module gives those bytes meaning: a payload is a
 //! compact JSON document carrying one procedure's `Cons` baseline, the
-//! per-config/per-variant report matrix, the certificate fragment (when
-//! the run certified), and the dominance-cache antichains for
-//! warm-starting future sessions.
+//! per-config/per-variant report matrix, and the certificate fragment
+//! (when the run certified).
 //!
 //! ## Byte identity
 //!
@@ -54,10 +53,9 @@ use acspec_ir::expr::Formula;
 use acspec_ir::parse::parse_formula;
 use acspec_ir::stmt::AssertId;
 use acspec_predabs::normalize::PruneConfig;
-use acspec_smt::{SolverCounters, TermId};
+use acspec_smt::SolverCounters;
 use acspec_store::{sha256_hex, CorruptionKind, LoadResult, ResultStore, StoreStats};
 use acspec_telemetry::json::write_str;
-use acspec_vcgen::cache::CacheSnapshot;
 use acspec_vcgen::chaos::{ChaosConfig, ChaosStoreStats};
 use acspec_vcgen::stage::{Stage, StageTable};
 
@@ -74,8 +72,9 @@ use crate::session::ProcAnalysis;
 /// stamped into every payload: a layout change makes old entries
 /// unaddressable *and* undecodable, so stale stores degrade to misses,
 /// never to misreads. History: `2` — stored certificate fragments use
-/// the schema-4 sidecar layout (one shared proof log per procedure).
-pub const PERSIST_VERSION: u32 = 2;
+/// the schema-4 sidecar layout (one shared proof log per procedure);
+/// `3` — payloads no longer carry the query cache's antichains.
+pub const PERSIST_VERSION: u32 = 3;
 
 /// The content-addressed key of one procedure's entry: SHA-256 over the
 /// procedure fingerprint and the options digest.
@@ -213,31 +212,6 @@ fn push_report(out: &mut String, r: &ProcReport) -> Option<()> {
     Some(())
 }
 
-fn push_snapshot(out: &mut String, snap: &CacheSnapshot) {
-    let push_side = |out: &mut String, side: &[Vec<TermId>]| {
-        out.push('[');
-        for (i, entry) in side.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, t) in entry.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", t.0);
-            }
-            out.push(']');
-        }
-        out.push(']');
-    };
-    out.push_str("{\"sat\":");
-    push_side(out, &snap.sat);
-    out.push_str(",\"unsat\":");
-    push_side(out, &snap.unsat);
-    out.push('}');
-}
-
 /// Serializes everything a warm run needs to re-emit `pa`'s reports
 /// byte-identically.
 ///
@@ -273,11 +247,6 @@ pub fn encode_analysis(pa: &ProcAnalysis) -> Option<Vec<u8>> {
         Some(fragment) => write_str(&mut out, fragment),
         None => out.push_str("null"),
     }
-    out.push_str(",\"antichains\":");
-    match &pa.antichains {
-        Some(snap) => push_snapshot(&mut out, snap),
-        None => out.push_str("null"),
-    }
     out.push('}');
 
     // Self-check: decode our own bytes and insist the reconstruction
@@ -305,7 +274,6 @@ fn round_trips(cold: &ProcAnalysis, warm: &ProcAnalysis) -> bool {
             .map(Vec::len)
             .eq(warm.reports.iter().map(Vec::len))
         && cold.certs_fragment == warm.certs_fragment
-        && cold.antichains == warm.antichains
 }
 
 // ---------------------------------------------------------------------
@@ -440,25 +408,6 @@ fn report_from(v: &Value, proc_name: &str) -> Option<ProcReport> {
     })
 }
 
-fn snapshot_from(v: &Value) -> Option<CacheSnapshot> {
-    let side = |v: &Value| -> Option<Vec<Vec<TermId>>> {
-        v.arr()?
-            .iter()
-            .map(|entry| {
-                entry
-                    .arr()?
-                    .iter()
-                    .map(|t| Some(TermId(t.u32()?)))
-                    .collect()
-            })
-            .collect()
-    };
-    Some(CacheSnapshot {
-        sat: side(v.get("sat")?)?,
-        unsat: side(v.get("unsat")?)?,
-    })
-}
-
 /// Reconstructs a [`ProcAnalysis`] from a validated payload. Returns
 /// `None` on any structural surprise (wrong payload version, unknown
 /// names, missing fields) — callers treat that as a cache miss and
@@ -493,10 +442,6 @@ pub fn decode_analysis(bytes: &[u8]) -> Option<ProcAnalysis> {
         Value::Null => None,
         s => Some(s.str()?.to_string()),
     };
-    let antichains = match v.get("antichains")? {
-        Value::Null => None,
-        s => Some(snapshot_from(s)?),
-    };
     Some(ProcAnalysis {
         proc_name,
         cons,
@@ -507,7 +452,7 @@ pub fn decode_analysis(bytes: &[u8]) -> Option<ProcAnalysis> {
         from_store: true,
         incidents: Vec::new(),
         certs_fragment,
-        antichains,
+        antichains: None,
     })
 }
 

@@ -597,7 +597,7 @@ mod tests {
                     .iter()
                     .map(|&i| cover.clauses[i as usize].clone())
                     .collect();
-                let normalized = acspec_predabs::normalize(&clauses, 1000);
+                let normalized = acspec_predabs::normalize(&clauses);
                 acspec_predabs::clauses_to_formula(&normalized, &cover.preds).to_string()
             })
             .collect();

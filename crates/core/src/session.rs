@@ -55,7 +55,7 @@ use acspec_ir::stmt::{AssertId, Stmt};
 use acspec_predabs::clause::{clauses_to_formula, QClause};
 use acspec_predabs::cover::{predicate_cover_salvaging, Cover};
 use acspec_predabs::mine::mine_predicates_interned;
-use acspec_predabs::normalize::{normalize, prune_clauses, PruneConfig};
+use acspec_predabs::normalize::{normalize, prune_clauses, PruneConfig, MAX_PREDICATES};
 use acspec_smt::{SearchSummary, SolverCounters, TermId};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer, QueryOutcome, Selector};
 use acspec_vcgen::cache::CacheStats;
@@ -65,7 +65,7 @@ use acspec_vcgen::stage::{FaultReason, Stage, StageError, StageMetrics, StageTab
 use crate::certs::{
     proc_certs_json, ChainRecord, ChainStepRecord, Claim, ClaimKind, ProcCerts, StepEvidence,
 };
-use crate::config::{AcspecOptions, ConfigName, DeadMetric};
+use crate::config::{AcspecOptions, ConfigName, DeadMetric, MAX_COVER_CLAUSES, MAX_SEARCH_NODES};
 use crate::driver::AcspecError;
 use crate::fingerprint::procedure_fingerprint;
 use crate::persist::{entry_key, options_digest, StoreOutcome, StoreSession};
@@ -743,7 +743,7 @@ impl ProcSession {
     /// The `Mine` stage: collects the predicate vocabulary `Q` under the
     /// configuration's abstraction (§4.4). Purely syntactic — no
     /// queries; the stage records its wall-clock time. The caller (or
-    /// [`ProcSession::run_config`]) enforces `max_predicates`.
+    /// [`ProcSession::run_config`]) enforces [`MAX_PREDICATES`].
     pub fn mine(&mut self, opts: &AcspecOptions) -> Vec<Atom> {
         let label = Some(ReportLabel::Config(opts.config));
         let abstraction = opts.config.abstraction();
@@ -759,7 +759,7 @@ impl ProcSession {
     }
 
     /// The `Cover` stage: the predicate cover `β_Q(wp)` via ALL-SAT
-    /// (§4.1), capped at `opts.max_cover_clauses`.
+    /// (§4.1), capped at `MAX_COVER_CLAUSES`.
     ///
     /// # Errors
     ///
@@ -767,11 +767,10 @@ impl ProcSession {
     /// exhaustion.
     pub fn cover(&mut self, opts: &AcspecOptions, q: &[Atom]) -> Result<Cover, StageError> {
         let label = Some(ReportLabel::Config(opts.config));
-        let cap = opts.max_cover_clauses;
         self.cover_salvage = None;
         self.staged(Stage::Cover, label, |s| {
             let mut salvage = None;
-            let out = predicate_cover_salvaging(&mut s.az, q, cap, &mut salvage);
+            let out = predicate_cover_salvaging(&mut s.az, q, MAX_COVER_CLAUSES, &mut salvage);
             s.cover_salvage = salvage;
             out
         })
@@ -800,7 +799,6 @@ impl ProcSession {
             .map(|(_, c)| c.clone())
             .expect("just ensured");
         let label = Some(ReportLabel::Config(opts.config));
-        let max_nodes = opts.max_search_nodes;
         self.search_salvage = None;
         self.staged(Stage::Search, label, |s| {
             let handles = cover.install_handles(&mut s.az);
@@ -811,7 +809,7 @@ impl ProcSession {
                 &mut s.az,
                 &selectors,
                 &dead_check,
-                max_nodes,
+                MAX_SEARCH_NODES,
                 Some(&bodies),
                 &mut salvage,
             );
@@ -834,7 +832,6 @@ impl ProcSession {
     ) -> Vec<Vec<QClause>> {
         let label = Some(ReportLabel::Config(opts.config));
         let apply = opts.apply_normalize;
-        let cap = opts.normalize_max_clauses;
         self.staged(Stage::Evaluate, label, |s| {
             search
                 .specs
@@ -845,8 +842,9 @@ impl ProcSession {
                         .map(|&i| cover.clauses[i as usize].clone())
                         .collect();
                     if apply {
-                        semantic_normal_form(&mut s.az, cover, &clauses, cap)
-                            .unwrap_or_else(|| normalize(&clauses, cap))
+                        cover
+                            .normal_form(&mut s.az, &clauses)
+                            .unwrap_or_else(|| normalize(&clauses))
                     } else {
                         clauses
                     }
@@ -892,7 +890,7 @@ impl ProcSession {
                     if !specs.contains(&spec_formula) {
                         specs.push(spec_formula.clone());
                     }
-                    let sel = install_clause_set_selector(&mut s.az, cover, &pruned);
+                    let sel = cover.install_clause_set(&mut s.az, &pruned);
                     match s.az.fail_set(&[sel]) {
                         Ok(fails) => {
                             for id in &fails {
@@ -976,7 +974,7 @@ impl ProcSession {
         // Mine Q; oversized vocabularies time out (ALL-SAT is 2^|Q|).
         let q = self.mine(opts);
         seed.n_predicates = q.len();
-        if q.len() > opts.max_predicates {
+        if q.len() > MAX_PREDICATES {
             self.az.note_cap_fault();
             let e = StageError {
                 stage: Stage::Mine,
@@ -992,7 +990,7 @@ impl ProcSession {
                 // sound) screen than β_Q(wp) — evaluate it directly.
                 if let Some(partial) = self.cover_salvage.take() {
                     if !partial.clauses.is_empty() {
-                        return self.degraded_cover_reports(label, seed, e, n, opts, &partial);
+                        return self.degraded_cover_reports(label, seed, e, n, &partial);
                     }
                 }
                 return self.degrade_reports(label, seed, e, n);
@@ -1113,7 +1111,6 @@ impl ProcSession {
         mut seed: ReportSeed,
         error: StageError,
         n: usize,
-        opts: &AcspecOptions,
         partial: &Cover,
     ) -> Vec<ProcReport> {
         seed.n_cover_clauses = partial.clauses.len();
@@ -1129,10 +1126,7 @@ impl ProcSession {
         }
         let baseline = self.az.stage_stats();
         let smt_baseline = self.az.solver_counters();
-        let spec = clauses_to_formula(
-            &normalize(&partial.clauses, opts.normalize_max_clauses),
-            &partial.preds,
-        );
+        let spec = clauses_to_formula(&normalize(&partial.clauses), &partial.preds);
         let warnings: Vec<Warning> = self
             .demonic_fail
             .clone()
@@ -1345,7 +1339,7 @@ impl ProcSession {
             if !self.cert_seen.insert((label_s.clone(), spec_s.clone())) {
                 continue;
             }
-            let sel = install_clause_set_selector(&mut self.az, cover, pruned);
+            let sel = cover.install_clause_set(&mut self.az, pruned);
             for &a in &demonic {
                 let tag = self.tag_of(a);
                 let kind = if fails.contains(&a) {
@@ -1397,98 +1391,6 @@ impl Default for ReportSeed {
             timeout_stage: None,
         }
     }
-}
-
-/// Installs a selector for an arbitrary clause set over the cover's
-/// indicator terms.
-fn install_clause_set_selector(
-    az: &mut ProcAnalyzer,
-    cover: &Cover,
-    clauses: &[QClause],
-) -> Selector {
-    let mut conj: Vec<TermId> = Vec::with_capacity(clauses.len());
-    for c in clauses {
-        let parts: Vec<TermId> = c
-            .lits()
-            .iter()
-            .map(|l| {
-                let b = cover.indicators[l.pred];
-                if l.positive {
-                    b
-                } else {
-                    az.ctx.mk_not(b)
-                }
-            })
-            .collect();
-        conj.push(az.ctx.mk_or(parts));
-    }
-    let body = az.ctx.mk_and(conj);
-    az.add_selector_term(body)
-}
-
-/// Computes the *strongest* clause set with the same consistent input
-/// states as `clauses` by enumerating the specification's
-/// theory-satisfiable cubes and negating the complement, then Boolean
-/// normalizing.
-///
-/// The maximal-clause cover omits clauses for theory-inconsistent cubes
-/// (ALL-SAT never produces them), which leaves weaker-looking Boolean
-/// forms than the paper's displayed specifications (e.g. Figure 1's
-/// `!Freed[c] && !Freed[buf] && c != buf`); this pass recovers the
-/// paper's form. Returns `None` (caller falls back to syntactic
-/// normalization) when `|Q|` is too large for cube enumeration.
-fn semantic_normal_form(
-    az: &mut ProcAnalyzer,
-    cover: &Cover,
-    clauses: &[QClause],
-    normalize_cap: usize,
-) -> Option<Vec<QClause>> {
-    use acspec_predabs::clause::QLit;
-    let nq = cover.preds.len();
-    if nq == 0 || nq > 10 {
-        return None;
-    }
-    let sel = install_clause_set_selector(az, cover, clauses);
-    let session = az.ctx.fresh_bool_var("semnf");
-    let not_session = az.ctx.mk_not(session);
-    let mut models: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    loop {
-        match az.is_consistent(&[sel], &[session]) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(_) => return None,
-        }
-        let mut mask = 0u32;
-        let mut blocking: Vec<TermId> = vec![not_session];
-        for (i, &b) in cover.indicators.iter().enumerate() {
-            let v = az.model_bool(b).unwrap_or(false);
-            if v {
-                mask |= 1 << i;
-            }
-            blocking.push(if v { az.ctx.mk_not(b) } else { b });
-        }
-        az.add_clause(&blocking);
-        models.insert(mask);
-        if models.len() > 256 {
-            return None;
-        }
-    }
-    // Strongest equivalent: forbid every cube that is not a consistent
-    // model of the specification.
-    let mut out = Vec::new();
-    for mask in 0..(1u32 << nq) {
-        if models.contains(&mask) {
-            continue;
-        }
-        let lits: Vec<QLit> = (0..nq)
-            .map(|i| QLit {
-                pred: i,
-                positive: mask & (1 << i) == 0,
-            })
-            .collect();
-        out.push(QClause::new(lits));
-    }
-    Some(normalize(&out, normalize_cap))
 }
 
 /// Program-level orchestration: a session per defined procedure, fanned
@@ -1544,8 +1446,8 @@ pub struct ProcAnalysis {
     /// a byte-identical sidecar either way.
     pub certs_fragment: Option<String>,
     /// The dominance-cache antichains at session end (cold, when the
-    /// query cache was on) or as stored (warm) — seed material for
-    /// [`ProcAnalyzer::seed_cache`] when re-analyzing related bodies.
+    /// query cache was on). Nothing reads them and the store does not
+    /// keep them, so warm hits carry `None`.
     pub antichains: Option<acspec_vcgen::cache::CacheSnapshot>,
 }
 

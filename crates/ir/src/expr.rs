@@ -378,7 +378,9 @@ impl Expr {
 
     /// Folds constant integer arithmetic (`0 + 1` → `1`, `2 * 3` → `6`,
     /// `x + 0` → `x`), recursively. Used to canonicalize atoms so
-    /// textually different but equal predicates coincide in `Q`.
+    /// textually different but equal predicates coincide in `Q`. An
+    /// operation whose result leaves `i64` stays unfolded, so the
+    /// overflow surfaces where the term is encoded.
     pub fn fold_consts(&self) -> Expr {
         match self {
             Expr::Var(_) | Expr::Nu(_) | Expr::Int(_) => self.clone(),
@@ -388,7 +390,7 @@ impl Expr {
             Expr::Add(a, b) => {
                 let (a, b) = (a.fold_consts(), b.fold_consts());
                 match (&a, &b) {
-                    (Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_add(*y)),
+                    (Expr::Int(x), Expr::Int(y)) if x.checked_add(*y).is_some() => Expr::Int(x + y),
                     (Expr::Int(0), _) => b,
                     (_, Expr::Int(0)) => a,
                     _ => Expr::Add(Box::new(a), Box::new(b)),
@@ -397,7 +399,7 @@ impl Expr {
             Expr::Sub(a, b) => {
                 let (a, b) = (a.fold_consts(), b.fold_consts());
                 match (&a, &b) {
-                    (Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_sub(*y)),
+                    (Expr::Int(x), Expr::Int(y)) if x.checked_sub(*y).is_some() => Expr::Int(x - y),
                     (_, Expr::Int(0)) => a,
                     _ => Expr::Sub(Box::new(a), Box::new(b)),
                 }
@@ -405,7 +407,7 @@ impl Expr {
             Expr::Mul(a, b) => {
                 let (a, b) = (a.fold_consts(), b.fold_consts());
                 match (&a, &b) {
-                    (Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_mul(*y)),
+                    (Expr::Int(x), Expr::Int(y)) if x.checked_mul(*y).is_some() => Expr::Int(x * y),
                     (Expr::Int(0), _) | (_, Expr::Int(0)) => Expr::Int(0),
                     (Expr::Int(1), _) => b,
                     (_, Expr::Int(1)) => a,
@@ -415,7 +417,7 @@ impl Expr {
             Expr::Neg(a) => {
                 let a = a.fold_consts();
                 match &a {
-                    Expr::Int(x) => Expr::Int(x.wrapping_neg()),
+                    Expr::Int(x) if x.checked_neg().is_some() => Expr::Int(-x),
                     _ => Expr::Neg(Box::new(a)),
                 }
             }
@@ -770,6 +772,26 @@ mod tests {
         let (a, pos) = Atom::from_rel(RelOp::Gt, v("x"), Expr::Int(0));
         assert_eq!(a.op, RelOp::Le);
         assert!(!pos);
+    }
+
+    #[test]
+    fn constant_folding_leaves_overflowing_operations_unfolded() {
+        let max = || Expr::Int(i64::MAX);
+        let min = || Expr::Int(i64::MIN);
+        let overflowing = [
+            Expr::Add(Box::new(max()), Box::new(Expr::Int(2))),
+            Expr::Sub(Box::new(min()), Box::new(Expr::Int(1))),
+            Expr::Mul(Box::new(max()), Box::new(Expr::Int(2))),
+            Expr::Neg(Box::new(min())),
+        ];
+        for e in overflowing {
+            assert_eq!(e.fold_consts(), e);
+        }
+        let fits = Expr::Sub(
+            Box::new(Expr::Sub(Box::new(Expr::Int(0)), Box::new(max()))),
+            Box::new(Expr::Int(1)),
+        );
+        assert_eq!(fits.fold_consts(), min());
     }
 
     #[test]

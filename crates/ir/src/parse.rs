@@ -178,10 +178,18 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
     Ok(out)
 }
 
+/// The deepest nesting of expressions and statements the parser
+/// accepts, as for certificate JSON in `acspec-check`. Parsing recurses
+/// once per level, so without a cap a pathological input could overflow
+/// the stack.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
     next_site: u32,
+    /// Nesting level of the expression or statement being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -206,6 +214,20 @@ impl Parser {
             line,
             col,
         }
+    }
+
+    /// Parses one level deeper, refusing to go past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn bump(&mut self) -> Tok {
@@ -428,7 +450,7 @@ impl Parser {
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let (line, _col) = self.here();
         match self.peek().clone() {
-            Tok::Punct("{") => self.parse_block(),
+            Tok::Punct("{") => self.nested(Parser::parse_block),
             Tok::Ident(kw) if kw == "skip" => {
                 self.bump();
                 self.eat_punct(";")?;
@@ -455,13 +477,13 @@ impl Parser {
             Tok::Ident(kw) if kw == "if" => {
                 self.bump();
                 let cond = self.parse_branch_cond()?;
-                let then_branch = self.parse_block()?;
+                let then_branch = self.nested(Parser::parse_block)?;
                 let else_branch = if self.at_keyword("else") {
                     self.bump();
                     if self.at_keyword("if") {
-                        self.parse_stmt()?
+                        self.nested(Parser::parse_stmt)?
                     } else {
-                        self.parse_block()?
+                        self.nested(Parser::parse_block)?
                     }
                 } else {
                     Stmt::Skip
@@ -475,7 +497,7 @@ impl Parser {
             Tok::Ident(kw) if kw == "while" => {
                 self.bump();
                 let cond = self.parse_branch_cond()?;
-                let body = self.parse_block()?;
+                let body = self.nested(Parser::parse_block)?;
                 Ok(Stmt::While {
                     cond,
                     body: Box::new(body),
@@ -561,7 +583,7 @@ impl Parser {
     fn parse_implies(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.parse_or()?;
         if self.try_punct("==>") {
-            let rhs = self.parse_implies()?;
+            let rhs = self.nested(Parser::parse_implies)?;
             Ok(Formula::Implies(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -594,7 +616,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Formula, ParseError> {
         if self.try_punct("!") {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Parser::parse_not)?;
             Ok(Formula::Not(Box::new(inner)))
         } else {
             self.parse_formula_primary()
@@ -617,7 +639,7 @@ impl Parser {
         if self.peek() == &Tok::Punct("(") {
             let save = self.pos;
             self.bump();
-            if let Ok(f) = self.parse_formula() {
+            if let Ok(f) = self.nested(Parser::parse_formula) {
                 if self.try_punct(")") && !self.peek_relop() {
                     return Ok(f);
                 }
@@ -684,7 +706,7 @@ impl Parser {
 
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
         if self.try_punct("-") {
-            let inner = self.parse_factor()?;
+            let inner = self.nested(Parser::parse_factor)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.parse_postfix()
@@ -693,7 +715,7 @@ impl Parser {
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.parse_atom()?;
         while self.try_punct("[") {
-            let idx = self.parse_expr()?;
+            let idx = self.nested(Parser::parse_expr)?;
             self.eat_punct("]")?;
             e = Expr::Read(Box::new(e), Box::new(idx));
         }
@@ -708,77 +730,77 @@ impl Parser {
             }
             Tok::Punct("(") => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Parser::parse_expr)?;
                 self.eat_punct(")")?;
                 Ok(e)
             }
             Tok::Ident(name) => {
                 self.bump();
-                match name.as_str() {
-                    "write" => {
-                        self.eat_punct("(")?;
-                        let m = self.parse_expr()?;
-                        self.eat_punct(",")?;
-                        let i = self.parse_expr()?;
-                        self.eat_punct(",")?;
-                        let v = self.parse_expr()?;
-                        self.eat_punct(")")?;
-                        Ok(Expr::Write(Box::new(m), Box::new(i), Box::new(v)))
-                    }
-                    "ite" => {
-                        self.eat_punct("(")?;
-                        let c = self.parse_formula()?;
-                        self.eat_punct(",")?;
-                        let t = self.parse_expr()?;
-                        self.eat_punct(",")?;
-                        let e = self.parse_expr()?;
-                        self.eat_punct(")")?;
-                        Ok(Expr::Ite(Box::new(c), Box::new(t), Box::new(e)))
-                    }
-                    "old" => {
-                        self.eat_punct("(")?;
-                        let e = self.parse_expr()?;
-                        self.eat_punct(")")?;
-                        Ok(Expr::Old(Box::new(e)))
-                    }
-                    "nu" if self.peek() == &Tok::Punct("@") => {
-                        self.bump();
-                        let site = match self.bump() {
-                            Tok::Int(n) if n >= 0 => n as u32,
-                            other => {
-                                return Err(
-                                    self.err(format!("expected call-site number, found {other:?}"))
-                                )
-                            }
-                        };
-                        self.eat_punct(".")?;
-                        let callee = self.eat_ident()?;
-                        self.eat_punct(".")?;
-                        let var = self.eat_ident()?;
-                        Ok(Expr::Nu(NuConst { site, callee, var }))
-                    }
-                    _ => {
-                        if self.peek() == &Tok::Punct("(") {
-                            self.bump();
-                            let mut args = Vec::new();
-                            if !self.try_punct(")") {
-                                loop {
-                                    args.push(self.parse_expr()?);
-                                    if !self.try_punct(",") {
-                                        break;
-                                    }
-                                }
-                                self.eat_punct(")")?;
-                            }
-                            Ok(Expr::App(name, args))
-                        } else {
-                            Ok(Expr::Var(name))
-                        }
-                    }
+                if name == "nu" && self.peek() == &Tok::Punct("@") {
+                    return self.parse_nu();
                 }
+                if !matches!(name.as_str(), "write" | "ite" | "old")
+                    && self.peek() != &Tok::Punct("(")
+                {
+                    return Ok(Expr::Var(name));
+                }
+                self.nested(|p| p.parse_application(name))
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }
+    }
+
+    /// `nu@site.callee.var`, after the `nu`.
+    fn parse_nu(&mut self) -> Result<Expr, ParseError> {
+        self.bump();
+        let site = match self.bump() {
+            Tok::Int(n) if n >= 0 => n as u32,
+            other => return Err(self.err(format!("expected call-site number, found {other:?}"))),
+        };
+        self.eat_punct(".")?;
+        let callee = self.eat_ident()?;
+        self.eat_punct(".")?;
+        let var = self.eat_ident()?;
+        Ok(Expr::Nu(NuConst { site, callee, var }))
+    }
+
+    /// `write(..)`, `ite(..)`, `old(..)` or a function application,
+    /// after its name.
+    fn parse_application(&mut self, name: String) -> Result<Expr, ParseError> {
+        self.eat_punct("(")?;
+        let e = match name.as_str() {
+            "write" => {
+                let m = self.parse_expr()?;
+                self.eat_punct(",")?;
+                let i = self.parse_expr()?;
+                self.eat_punct(",")?;
+                let v = self.parse_expr()?;
+                Expr::Write(Box::new(m), Box::new(i), Box::new(v))
+            }
+            "ite" => {
+                let c = self.parse_formula()?;
+                self.eat_punct(",")?;
+                let t = self.parse_expr()?;
+                self.eat_punct(",")?;
+                let e = self.parse_expr()?;
+                Expr::Ite(Box::new(c), Box::new(t), Box::new(e))
+            }
+            "old" => Expr::Old(Box::new(self.parse_expr()?)),
+            _ => {
+                let mut args = Vec::new();
+                if self.peek() != &Tok::Punct(")") {
+                    loop {
+                        args.push(self.parse_expr()?);
+                        if !self.try_punct(",") {
+                            break;
+                        }
+                    }
+                }
+                Expr::App(name, args)
+            }
+        };
+        self.eat_punct(")")?;
+        Ok(e)
     }
 }
 
@@ -793,6 +815,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         toks,
         pos: 0,
         next_site: 0,
+        depth: 0,
     };
     p.parse_program()
 }
@@ -809,6 +832,7 @@ pub fn parse_formula(src: &str) -> Result<Formula, ParseError> {
         toks,
         pos: 0,
         next_site: 0,
+        depth: 0,
     };
     let f = p.parse_formula()?;
     if p.peek() != &Tok::Eof {
@@ -828,6 +852,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
         toks,
         pos: 0,
         next_site: 0,
+        depth: 0,
     };
     let e = p.parse_expr()?;
     if p.peek() != &Tok::Eof {

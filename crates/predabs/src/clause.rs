@@ -61,64 +61,6 @@ impl QClause {
         self.0.iter().all(|l| other.0.contains(l))
     }
 
-    /// Bitmask fingerprint `(positive literals, negative literals)` when
-    /// every predicate index fits in one machine word; `None` otherwise.
-    /// Two clauses with masks satisfy `a.subsumes(b)` iff both of `a`'s
-    /// masks are bitwise subsets of `b`'s.
-    pub fn masks(&self) -> Option<(u64, u64)> {
-        let mut pos = 0u64;
-        let mut neg = 0u64;
-        for l in &self.0 {
-            if l.pred >= 64 {
-                return None;
-            }
-            if l.positive {
-                pos |= 1 << l.pred;
-            } else {
-                neg |= 1 << l.pred;
-            }
-        }
-        Some((pos, neg))
-    }
-
-    /// [`QClause::subsumes`] with a word-level fast path: predicate sets
-    /// small enough to fingerprint (the common case — covers rarely have
-    /// 64+ predicates) compare as two bitwise subset tests instead of a
-    /// per-literal scan.
-    pub fn subsumes_fast(&self, other: &QClause) -> bool {
-        if let (Some((ps, ns)), Some((po, no))) = (self.masks(), other.masks()) {
-            return ps & po == ps && ns & no == ns;
-        }
-        self.subsumes(other)
-    }
-
-    /// Resolves two clauses on `pivot` if possible, returning the
-    /// resolvent.
-    pub fn resolve(&self, other: &QClause, pivot: usize) -> Option<QClause> {
-        let pos = QLit {
-            pred: pivot,
-            positive: true,
-        };
-        let neg = pos.negated();
-        let (has_pos, has_neg) = (self.0.contains(&pos), other.0.contains(&neg));
-        if !has_pos || !has_neg {
-            return None;
-        }
-        // Classical binary resolution: drop the positive pivot from `self`
-        // and the negative pivot from `other`; any *other* occurrence of
-        // the pivot (a tautological input) survives.
-        let mut lits: Vec<QLit> = self
-            .0
-            .iter()
-            .filter(|&&l| l != pos)
-            .chain(other.0.iter().filter(|&&l| l != neg))
-            .copied()
-            .collect();
-        lits.sort_unstable();
-        lits.dedup();
-        Some(QClause(lits))
-    }
-
     /// Renders the clause as a formula over the predicate set.
     pub fn to_formula(&self, preds: &[Atom]) -> Formula {
         Formula::or(
@@ -185,61 +127,6 @@ mod tests {
         assert!(small.subsumes(&big));
         assert!(!big.subsumes(&small));
         assert!(small.subsumes(&small));
-    }
-
-    #[test]
-    fn masked_subsumption_agrees_with_scan() {
-        // Random clause pairs over small indices (mask path) and with an
-        // index ≥ 64 mixed in (fallback path).
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..500 {
-            let wide = round % 5 == 0;
-            let mk = |rng: &mut dyn FnMut() -> u64| {
-                let n = 1 + (rng() % 4) as usize;
-                QClause::new(
-                    (0..n)
-                        .map(|_| {
-                            let pred = if wide && rng().is_multiple_of(2) {
-                                64 + (rng() % 4) as usize
-                            } else {
-                                (rng() % 6) as usize
-                            };
-                            lit(pred, rng().is_multiple_of(2))
-                        })
-                        .collect(),
-                )
-            };
-            let a = mk(&mut rng);
-            let b = mk(&mut rng);
-            assert_eq!(
-                a.subsumes_fast(&b),
-                a.subsumes(&b),
-                "a={a:?} b={b:?} wide={wide}"
-            );
-            if wide {
-                assert!(a.masks().is_none() || b.masks().is_none() || a.lits().len() <= 4);
-            }
-        }
-        // Polarity matters: same pred, opposite signs never subsume.
-        let p = QClause::new(vec![lit(3, true)]);
-        let n = QClause::new(vec![lit(3, false)]);
-        assert!(!p.subsumes_fast(&n) && !n.subsumes_fast(&p));
-    }
-
-    #[test]
-    fn resolution() {
-        // (a ∨ b) ⋈_a (¬a ∨ c) = (b ∨ c)
-        let c1 = QClause::new(vec![lit(0, true), lit(1, true)]);
-        let c2 = QClause::new(vec![lit(0, false), lit(2, true)]);
-        let r = c1.resolve(&c2, 0).expect("resolvable");
-        assert_eq!(r, QClause::new(vec![lit(1, true), lit(2, true)]));
-        assert!(c1.resolve(&c2, 1).is_none());
     }
 
     #[test]

@@ -10,8 +10,10 @@
 use acspec_ir::expr::Atom;
 use acspec_smt::TermId;
 use acspec_vcgen::analyzer::{ProcAnalyzer, Timeout};
+use acspec_vcgen::Selector;
 
 use crate::clause::{QClause, QLit};
+use crate::normalize::prime_implicates;
 
 /// The predicate cover: the predicate set plus the maximal clauses of
 /// `β_Q(wp(pr, true))`.
@@ -122,25 +124,17 @@ pub fn predicate_cover_salvaging(
                 return Err(t);
             }
         }
-        // Extract the cube over Q from the model and block it.
-        let mut cube: Vec<QLit> = Vec::with_capacity(q.len());
-        for (i, &b) in indicators.iter().enumerate() {
-            let value = az.model_bool(b).expect("indicator assigned in model");
-            cube.push(QLit {
-                pred: i,
-                positive: value,
-            });
-        }
-        // Blocking clause: ¬session ∨ ⋁ ¬lit.
-        let mut blocking: Vec<TermId> = Vec::with_capacity(cube.len() + 1);
-        blocking.push(not_session);
-        for l in &cube {
-            let b = indicators[l.pred];
-            blocking.push(if l.positive { az.ctx.mk_not(b) } else { b });
-        }
-        az.add_clause(&blocking);
-        // The cover clause is the negation of the cube.
-        clauses.push(cube.into_iter().map(QLit::negated).collect::<QClause>());
+        // The cover clause is the negation of the model's cube over Q.
+        let cube = block_cube(az, &indicators, not_session);
+        clauses.push(
+            cube.iter()
+                .enumerate()
+                .map(|(pred, &value)| QLit {
+                    pred,
+                    positive: !value,
+                })
+                .collect(),
+        );
         if q.is_empty() {
             // With Q = {} a single failing model means β_Q(wp) = false:
             // the empty cube blocks everything.
@@ -156,11 +150,28 @@ pub fn predicate_cover_salvaging(
     })
 }
 
+/// Reads the last model's cube over `indicators` and blocks it with the
+/// clause `¬session ∨ ⋁ ¬lit`, so later queries assuming `session` see
+/// only other cubes. Returns the cube's values in indicator order.
+fn block_cube(az: &mut ProcAnalyzer, indicators: &[TermId], not_session: TermId) -> Vec<bool> {
+    let cube: Vec<bool> = indicators
+        .iter()
+        .map(|&b| az.model_bool(b).expect("indicator assigned in model"))
+        .collect();
+    let mut blocking: Vec<TermId> = Vec::with_capacity(cube.len() + 1);
+    blocking.push(not_session);
+    for (&b, &value) in indicators.iter().zip(&cube) {
+        blocking.push(if value { az.ctx.mk_not(b) } else { b });
+    }
+    az.add_clause(&blocking);
+    cube
+}
+
 impl Cover {
     /// Installs a selector per clause on the analyzer, returning them in
     /// clause order. Passing a subset of the selectors to `Dead`/`Fail`
     /// evaluates the correspondingly weakened specification.
-    pub fn install_selectors(&self, az: &mut ProcAnalyzer) -> Vec<acspec_vcgen::Selector> {
+    pub fn install_selectors(&self, az: &mut ProcAnalyzer) -> Vec<Selector> {
         self.install_handles(az)
             .into_iter()
             .map(|(s, _)| s)
@@ -170,26 +181,81 @@ impl Cover {
     /// Like [`Cover::install_selectors`], but also returns each clause's
     /// boolean body term, which callers need for entailment queries
     /// between clause subsets (the minimality filter of Algorithm 2).
-    pub fn install_handles(&self, az: &mut ProcAnalyzer) -> Vec<(acspec_vcgen::Selector, TermId)> {
+    pub fn install_handles(&self, az: &mut ProcAnalyzer) -> Vec<(Selector, TermId)> {
         self.clauses
             .iter()
             .map(|c| {
-                let parts: Vec<TermId> = c
-                    .lits()
-                    .iter()
-                    .map(|l| {
-                        let b = self.indicators[l.pred];
-                        if l.positive {
-                            b
-                        } else {
-                            az.ctx.mk_not(b)
-                        }
-                    })
-                    .collect();
-                let body = az.ctx.mk_or(parts);
+                let body = self.clause_term(az, c);
                 (az.add_selector_term(body), body)
             })
             .collect()
+    }
+
+    /// Installs one selector for the conjunction of `clauses`, an
+    /// arbitrary clause set over the cover's predicates.
+    pub fn install_clause_set(&self, az: &mut ProcAnalyzer, clauses: &[QClause]) -> Selector {
+        let conj: Vec<TermId> = clauses.iter().map(|c| self.clause_term(az, c)).collect();
+        let body = az.ctx.mk_and(conj);
+        az.add_selector_term(body)
+    }
+
+    /// The disjunction of a clause's literals over the indicator terms.
+    fn clause_term(&self, az: &mut ProcAnalyzer, c: &QClause) -> TermId {
+        let parts: Vec<TermId> = c
+            .lits()
+            .iter()
+            .map(|l| {
+                let b = self.indicators[l.pred];
+                if l.positive {
+                    b
+                } else {
+                    az.ctx.mk_not(b)
+                }
+            })
+            .collect();
+        az.ctx.mk_or(parts)
+    }
+
+    /// The *strongest* clause set with the same consistent input states
+    /// as `⋀clauses`: ALL-SAT enumerates the specification's
+    /// theory-consistent cubes over `Q`, and the normal form is the
+    /// prime implicates of that truth table.
+    ///
+    /// The maximal-clause cover omits clauses for theory-inconsistent
+    /// cubes (ALL-SAT never produces them), which leaves weaker-looking
+    /// Boolean forms than the paper's displayed specifications (e.g.
+    /// Figure 1's `!Freed[c] && !Freed[buf] && c != buf`); this pass
+    /// recovers the paper's form. Returns `None` (callers fall back to
+    /// the syntactic [`crate::normalize()`]) when `Q` is empty or has more
+    /// than 10 predicates, when the specification has more than 256
+    /// consistent cubes, or when a query runs out of budget.
+    pub fn normal_form(&self, az: &mut ProcAnalyzer, clauses: &[QClause]) -> Option<Vec<QClause>> {
+        let nq = self.preds.len();
+        if nq == 0 || nq > 10 {
+            return None;
+        }
+        let sel = self.install_clause_set(az, clauses);
+        let session = az.ctx.fresh_bool_var("semnf");
+        let not_session = az.ctx.mk_not(session);
+        let mut table = vec![false; 1 << nq];
+        let mut models = 0;
+        loop {
+            match az.is_consistent(&[sel], &[session]) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(_) => return None,
+            }
+            let cube = block_cube(az, &self.indicators, not_session);
+            let row = cube.iter().rev().fold(0, |r, &v| r << 1 | usize::from(v));
+            if !table[row] {
+                table[row] = true;
+                models += 1;
+            }
+            if models > 256 {
+                return None;
+            }
+        }
+        Some(prime_implicates(&table))
     }
 }
 
@@ -267,6 +333,22 @@ mod tests {
         // Semantics: β_Q(wp) ⇔ x ≠ 0 ∧ y ≠ 0. Check via selectors.
         let sels = cover.install_selectors(&mut az);
         assert!(az.fail_set(&sels).expect("ok").is_empty());
+    }
+
+    #[test]
+    fn normal_form_drops_theory_inconsistent_cubes() {
+        // Q = {x == 0, x == 1}. The cover's two maximal clauses allow the
+        // cube x == 0 && x == 1, which no state satisfies, so they do not
+        // simplify syntactically; the normal form reads the one
+        // consistent cube and yields two unit clauses.
+        let (_, mut az, q) = setup("procedure f(x: int) { assert x != 0; assert x != 1; }");
+        let cover = predicate_cover(&mut az, &q).expect("in budget");
+        assert_eq!(crate::normalize(&cover.clauses), cover.clauses);
+        let nf = cover.normal_form(&mut az, &cover.clauses).expect("small Q");
+        assert_eq!(
+            clauses_to_formula(&nf, &cover.preds).to_string(),
+            "x != 0 && x != 1"
+        );
     }
 
     #[test]

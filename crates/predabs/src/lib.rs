@@ -8,8 +8,9 @@
 //! * [`cover`] — the predicate cover `β_Q(wp(pr, true))` via ALL-SAT
 //!   enumeration of maximal cubes (§4.1);
 //! * [`clause`] — literals/clauses over `Q` (§2.4);
-//! * [`normalize`] — `Normalize` (resolution / subsumption / tautology
-//!   elimination) and `PruneClauses` (`k`-literal and cross-call
+//! * [`normalize`](mod@normalize) — `Normalize` (the fix-point of resolution,
+//!   subsumption and tautology elimination, read off a truth table as its
+//!   prime implicates) and `PruneClauses` (`k`-literal and cross-call
 //!   correlation pruning) (§4.3).
 //!
 //! # Example
@@ -39,4 +40,4 @@ pub mod normalize;
 pub use clause::{clauses_to_formula, QClause, QLit};
 pub use cover::{predicate_cover, predicate_cover_capped, predicate_cover_salvaging, Cover};
 pub use mine::{mine_predicates, Abstraction};
-pub use normalize::{normalize, prune_clauses, PruneConfig};
+pub use normalize::{normalize, prime_implicates, prune_clauses, PruneConfig, MAX_PREDICATES};

@@ -3,7 +3,12 @@
 
 use std::collections::BTreeSet;
 
-use crate::clause::QClause;
+use crate::clause::{QClause, QLit};
+
+/// The most predicates a truth table ranges over. The Mine stage caps
+/// `|Q|` at this (ALL-SAT is `2^|Q|`), so every clause set the pipeline
+/// normalizes fits.
+pub const MAX_PREDICATES: usize = 12;
 
 /// Applies the three rules of §4.3 to a fix-point:
 ///
@@ -11,84 +16,120 @@ use crate::clause::QClause;
 /// 2. **Subsumption**: if `c` and `(c ∨ l)` are present, remove `(c ∨ l)`;
 /// 3. **Tautologies**: remove `(c ∨ l ∨ ¬l)`.
 ///
-/// Resolution can blow up exponentially; `max_clauses` caps the working
-/// set (when hit, the current simplified set is returned — still
-/// equivalent to the input, just not fully normalized).
-pub fn normalize(clauses: &[QClause], max_clauses: usize) -> Vec<QClause> {
-    let mut set: BTreeSet<QClause> = clauses
+/// That fix-point is the set of prime implicates of `⋀clauses`, so this
+/// reads them off the clauses' truth table ([`prime_implicates`]). The
+/// result is sorted.
+///
+/// # Panics
+///
+/// Panics if a clause mentions a predicate index of
+/// [`MAX_PREDICATES`] or more.
+pub fn normalize(clauses: &[QClause]) -> Vec<QClause> {
+    let n = clauses
         .iter()
-        .filter(|c| !c.is_tautology())
-        .cloned()
+        .flat_map(QClause::lits)
+        .map(|l| l.pred + 1)
+        .max()
+        .unwrap_or(0);
+    assert!(
+        n <= MAX_PREDICATES,
+        "normalize: predicate {} is beyond the truth-table bound {MAX_PREDICATES}",
+        n - 1
+    );
+    // Each clause as its (positive, negative) literal masks.
+    let masks: Vec<(usize, usize)> = clauses
+        .iter()
+        .map(|c| {
+            c.lits().iter().fold((0, 0), |(pos, neg), l| {
+                if l.positive {
+                    (pos | 1 << l.pred, neg)
+                } else {
+                    (pos, neg | 1 << l.pred)
+                }
+            })
+        })
         .collect();
-    loop {
-        // Subsumption pass.
-        set = remove_subsumed(set);
-        // One resolution round: collect new resolvents.
-        let list: Vec<QClause> = set.iter().cloned().collect();
-        let mut added = false;
-        'outer: for i in 0..list.len() {
-            for j in 0..list.len() {
-                if i == j {
-                    continue;
-                }
-                for lit in list[i].lits() {
-                    if !lit.positive {
-                        continue;
-                    }
-                    if let Some(r) = list[i].resolve(&list[j], lit.pred) {
-                        if r.is_tautology() {
-                            continue;
-                        }
-                        // Only keep resolvents that subsume something or
-                        // are new and not subsumed (avoids runaway growth
-                        // while reaching the same fix-point for
-                        // subsumption-based simplification).
-                        if set.iter().any(|c| c.subsumes_fast(&r)) {
-                            continue;
-                        }
-                        set.insert(r);
-                        added = true;
-                        if set.len() > max_clauses {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-        if !added || set.len() > max_clauses {
-            return remove_subsumed(set).into_iter().collect();
-        }
-    }
+    let table: Vec<bool> = (0..1usize << n)
+        .map(|row| {
+            masks
+                .iter()
+                .all(|&(pos, neg)| row & pos != 0 || !row & neg != 0)
+        })
+        .collect();
+    prime_implicates(&table)
 }
 
-fn remove_subsumed(set: BTreeSet<QClause>) -> BTreeSet<QClause> {
-    let list: Vec<QClause> = set.into_iter().collect();
-    // Fingerprint every clause once; the O(n²) pairwise loop then does
-    // two word-ops per pair (clauses with 64+ predicates fall back to
-    // the literal scan).
-    let masks: Option<Vec<(u64, u64)>> = list.iter().map(QClause::masks).collect();
-    let subsumes = |i: usize, j: usize| match &masks {
-        Some(m) => m[i].0 & m[j].0 == m[i].0 && m[i].1 & m[j].1 == m[i].1,
-        None => list[i].subsumes(&list[j]),
-    };
-    let mut keep = vec![true; list.len()];
-    for i in 0..list.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..list.len() {
-            if i == j || !keep[j] {
-                continue;
-            }
-            if subsumes(i, j) && (list[i].len() < list[j].len() || i < j) {
-                keep[j] = false;
-            }
-        }
+/// The prime implicates of the Boolean function with truth table
+/// `table` over `n` predicates, sorted. `table.len()` is `2^n`, and row
+/// `r` gives predicate `i` the value of bit `i` of `r`.
+///
+/// A prime implicate is an implied clause no proper sub-clause of which
+/// is implied. Its negation is a prime implicant of the negated
+/// function, which Quine–McCluskey finds from the falsifying rows: two
+/// falsifying cubes that differ in one predicate merge into the cube
+/// without it, and a cube that merges with no neighbour is prime. Cubes
+/// are coded in base 3 (digit `i`: 0 = predicate `i` false, 1 = true,
+/// 2 = absent), so every merge is two lookups into one dense table.
+///
+/// # Panics
+///
+/// Panics if `table.len()` is not a power of two, or the table ranges
+/// over more than [`MAX_PREDICATES`] predicates.
+pub fn prime_implicates(table: &[bool]) -> Vec<QClause> {
+    let n = table.len().trailing_zeros() as usize;
+    assert!(
+        table.len() == 1 << n && n <= MAX_PREDICATES,
+        "a truth table over at most {MAX_PREDICATES} predicates"
+    );
+    let pow3: Vec<usize> = (0..=n as u32).map(|i| 3usize.pow(i)).collect();
+    // falsified[t]: every row of cube t falsifies the function. A cube
+    // whose lowest absent predicate is `i` merges its two children on
+    // `i`, and both have smaller codes.
+    let mut falsified = vec![false; pow3[n]];
+    let mut digits = vec![0u8; n];
+    for t in 0..pow3[n] {
+        falsified[t] = match digits.iter().position(|&d| d == 2) {
+            Some(i) => falsified[t - 2 * pow3[i]] && falsified[t - pow3[i]],
+            None => !table[digits.iter().rev().fold(0, |r, &d| r << 1 | usize::from(d))],
+        };
+        next_ternary(&mut digits);
     }
-    list.into_iter()
-        .zip(keep)
-        .filter_map(|(c, k)| k.then_some(c))
-        .collect()
+    // A falsified cube is prime when dropping any present predicate
+    // leaves a cube that is not. (`digits` has wrapped back to zero.)
+    let mut out = Vec::new();
+    for (t, &f) in falsified.iter().enumerate() {
+        if f && digits
+            .iter()
+            .enumerate()
+            .all(|(i, &d)| d == 2 || !falsified[t + usize::from(2 - d) * pow3[i]])
+        {
+            out.push(
+                digits
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d)| d != 2)
+                    .map(|(pred, &d)| QLit {
+                        pred,
+                        positive: d == 0,
+                    })
+                    .collect::<QClause>(),
+            );
+        }
+        next_ternary(&mut digits);
+    }
+    out.sort();
+    out
+}
+
+/// Advances a little-endian base-3 counter, wrapping to all zeros.
+fn next_ternary(digits: &mut [u8]) {
+    for d in digits {
+        if *d < 2 {
+            *d += 1;
+            return;
+        }
+        *d = 0;
+    }
 }
 
 /// A syntactic quality measure for clauses (§4.3). Pruning *weakens* the
@@ -155,21 +196,21 @@ mod tests {
     fn paper_example_maximal_clauses_simplify() {
         // (a ∨ b) ∧ (a ∨ ¬b) normalizes to (a) (§4.3's example).
         let input = vec![cl(&[(0, true), (1, true)]), cl(&[(0, true), (1, false)])];
-        let out = normalize(&input, 1000);
+        let out = normalize(&input);
         assert_eq!(out, vec![cl(&[(0, true)])]);
     }
 
     #[test]
     fn tautologies_removed() {
         let input = vec![cl(&[(0, true), (0, false)]), cl(&[(1, true)])];
-        let out = normalize(&input, 1000);
+        let out = normalize(&input);
         assert_eq!(out, vec![cl(&[(1, true)])]);
     }
 
     #[test]
     fn subsumption_removes_supersets() {
         let input = vec![cl(&[(0, true)]), cl(&[(0, true), (1, true)])];
-        let out = normalize(&input, 1000);
+        let out = normalize(&input);
         assert_eq!(out, vec![cl(&[(0, true)])]);
     }
 
@@ -182,7 +223,7 @@ mod tests {
             cl(&[(0, true), (1, false)]),
             cl(&[(0, false), (1, true)]),
         ];
-        let out = normalize(&input, 1000);
+        let out = normalize(&input);
         assert_eq!(out, vec![cl(&[(0, true)]), cl(&[(1, true)])]);
     }
 
@@ -226,7 +267,7 @@ mod tests {
                 }
                 clauses.push(QClause::new(lits));
             }
-            let out = normalize(&clauses, 1000);
+            let out = normalize(&clauses);
             assert_eq!(
                 models(&clauses, n),
                 models(&out, n),

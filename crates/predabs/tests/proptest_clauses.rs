@@ -1,9 +1,13 @@
-//! Property-based tests (proptest) for clause normalization and pruning.
+//! Property-based tests (proptest) for clause normalization and pruning,
+//! with the resolution fix-point of §4.3 as a test-only oracle for
+//! [`normalize`]'s truth-table prime implicates.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use acspec_predabs::clause::{QClause, QLit};
-use acspec_predabs::normalize::{normalize, prune_clauses, PruneConfig};
+use acspec_predabs::normalize::{normalize, prime_implicates, prune_clauses, PruneConfig};
 use acspec_smt::{Ctx, SmtResult, Solver, TermId};
 
 const NPREDS: usize = 4;
@@ -35,6 +39,82 @@ fn models(clauses: &[QClause]) -> Vec<bool> {
             })
         })
         .collect()
+}
+
+/// Width of the full-width complement sets: one clause per non-model
+/// row of a truth table, each mentioning every predicate.
+const COMPLEMENT_PREDS: usize = 5;
+
+prop_compose! {
+    fn complement_set()(rows in prop::collection::vec(any::<bool>(), 1 << COMPLEMENT_PREDS))
+        -> Vec<QClause>
+    {
+        rows.iter()
+            .enumerate()
+            .filter(|&(_, &model)| !model)
+            .map(|(row, _)| {
+                (0..COMPLEMENT_PREDS)
+                    .map(|pred| QLit { pred, positive: row >> pred & 1 == 0 })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Resolves `a` (holding `pivot` positively) with `b` (holding it
+/// negatively): classical binary resolution, keeping any other
+/// occurrence of the pivot.
+fn resolve(a: &QClause, b: &QClause, pivot: usize) -> Option<QClause> {
+    let pos = QLit {
+        pred: pivot,
+        positive: true,
+    };
+    let neg = pos.negated();
+    if !a.lits().contains(&pos) || !b.lits().contains(&neg) {
+        return None;
+    }
+    Some(
+        a.lits()
+            .iter()
+            .filter(|&&l| l != pos)
+            .chain(b.lits().iter().filter(|&&l| l != neg))
+            .copied()
+            .collect(),
+    )
+}
+
+/// The oracle: §4.3's rules applied literally, by resolution,
+/// subsumption and tautology removal until nothing changes.
+fn resolution_fixpoint(clauses: &[QClause]) -> Vec<QClause> {
+    let mut set: BTreeSet<QClause> = clauses
+        .iter()
+        .filter(|c| !c.is_tautology())
+        .cloned()
+        .collect();
+    loop {
+        let list: Vec<QClause> = set
+            .iter()
+            .filter(|c| !set.iter().any(|d| d != *c && d.subsumes(c)))
+            .cloned()
+            .collect();
+        set = list.iter().cloned().collect();
+        let mut added = false;
+        for a in &list {
+            for b in &list {
+                for l in a.lits().iter().filter(|l| l.positive) {
+                    if let Some(r) = resolve(a, b, l.pred) {
+                        if !r.is_tautology() && !set.iter().any(|c| c.subsumes(&r)) {
+                            set.insert(r);
+                            added = true;
+                        }
+                    }
+                }
+            }
+        }
+        if !added {
+            return list;
+        }
+    }
 }
 
 /// Translates a clause set into a term over `vars` (one bool var per
@@ -82,14 +162,14 @@ proptest! {
     fn normalize_is_a_syntactic_fixpoint(cs in clause_set()) {
         // With a generous cap the result is fully normalized: running
         // normalize again changes nothing, not even the order.
-        let once = normalize(&cs, 10_000);
-        let twice = normalize(&once, 10_000);
+        let once = normalize(&cs);
+        let twice = normalize(&once);
         prop_assert_eq!(once, twice);
     }
 
     #[test]
     fn normalize_is_solver_equivalent(cs in clause_set()) {
-        let out = normalize(&cs, 10_000);
+        let out = normalize(&cs);
         prop_assert!(
             solver_equivalent(&cs, &out),
             "solver refutes in ⇔ out: in={:?} out={:?}", cs, out
@@ -97,34 +177,31 @@ proptest! {
     }
 
     #[test]
-    fn capped_normalize_is_still_solver_equivalent(cs in clause_set(), cap in 1usize..6) {
-        // Hitting `max_clauses` stops short of the fix-point but must
-        // never change the semantics (the cap returns the current —
-        // still equivalent — working set).
-        let out = normalize(&cs, cap);
-        prop_assert!(
-            solver_equivalent(&cs, &out),
-            "capped normalize changed semantics at cap {}: in={:?} out={:?}",
-            cap, cs, out
-        );
+    fn normalize_equals_the_resolution_fixpoint(cs in clause_set()) {
+        prop_assert_eq!(normalize(&cs), resolution_fixpoint(&cs), "in={:?}", cs);
+    }
+
+    #[test]
+    fn normalize_equals_the_resolution_fixpoint_on_complement_sets(cs in complement_set()) {
+        prop_assert_eq!(normalize(&cs), resolution_fixpoint(&cs), "in={:?}", cs);
     }
 
     #[test]
     fn normalize_preserves_semantics(cs in clause_set()) {
-        let out = normalize(&cs, 10_000);
+        let out = normalize(&cs);
         prop_assert_eq!(models(&cs), models(&out), "in={:?} out={:?}", cs, out);
     }
 
     #[test]
     fn normalize_is_idempotent_semantically(cs in clause_set()) {
-        let once = normalize(&cs, 10_000);
-        let twice = normalize(&once, 10_000);
+        let once = normalize(&cs);
+        let twice = normalize(&once);
         prop_assert_eq!(models(&once), models(&twice));
     }
 
     #[test]
     fn normalize_removes_tautologies_and_subsumed(cs in clause_set()) {
-        let out = normalize(&cs, 10_000);
+        let out = normalize(&cs);
         for c in &out {
             prop_assert!(!c.is_tautology());
         }
@@ -163,7 +240,7 @@ proptest! {
 
     #[test]
     fn resolution_is_sound(c1 in clause(), c2 in clause(), pivot in 0usize..NPREDS) {
-        if let Some(r) = c1.resolve(&c2, pivot) {
+        if let Some(r) = resolve(&c1, &c2, pivot) {
             // Every model of {c1, c2} satisfies the resolvent.
             for m in 0..(1usize << NPREDS) {
                 let sat = |c: &QClause| {
@@ -175,4 +252,116 @@ proptest! {
             }
         }
     }
+}
+
+/// Rows (as a bit set over the `2^NPREDS` rows) where clause `c` holds.
+fn rows_satisfying(c: &QClause) -> u32 {
+    (0..1u32 << NPREDS)
+        .filter(|&m| {
+            c.lits()
+                .iter()
+                .any(|l| (m >> l.pred & 1 == 1) == l.positive)
+        })
+        .fold(0, |acc, m| acc | 1 << m)
+}
+
+/// Exhaustive over every function of 4 predicates: the output clauses
+/// are implied, none has an implied proper sub-clause, and every prime
+/// implicate appears. `normalize` of the function's complement set
+/// returns the same clauses.
+#[test]
+fn prime_implicates_are_exact_over_four_predicates() {
+    // Every non-tautological clause over NPREDS predicates: each
+    // predicate is absent, positive or negative.
+    let all_clauses: Vec<QClause> = (0..3usize.pow(NPREDS as u32))
+        .map(|code| {
+            (0..NPREDS)
+                .filter_map(|pred| match code / 3usize.pow(pred as u32) % 3 {
+                    0 => None,
+                    d => Some(QLit {
+                        pred,
+                        positive: d == 1,
+                    }),
+                })
+                .collect()
+        })
+        .collect();
+    let implied = |models: u32, c: &QClause| models & !rows_satisfying(c) == 0;
+    // Implication is monotone in the clause, so a clause has an implied
+    // proper sub-clause iff dropping one literal leaves one.
+    let has_implied_sub_clause = |models: u32, c: &QClause| {
+        c.lits().iter().any(|&drop| {
+            let sub: QClause = c.lits().iter().copied().filter(|&l| l != drop).collect();
+            implied(models, &sub)
+        })
+    };
+    for models in 0..=u16::MAX {
+        let models = u32::from(models);
+        let table: Vec<bool> = (0..1 << NPREDS).map(|m| models >> m & 1 == 1).collect();
+        let out = prime_implicates(&table);
+        for c in &out {
+            assert!(implied(models, c), "{c:?} not implied by {models:#06x}");
+            assert!(
+                !has_implied_sub_clause(models, c),
+                "{c:?} not prime for {models:#06x}"
+            );
+        }
+        let primes: Vec<QClause> = all_clauses
+            .iter()
+            .filter(|c| implied(models, c) && !has_implied_sub_clause(models, c))
+            .cloned()
+            .collect();
+        for p in &primes {
+            assert!(
+                out.contains(p),
+                "prime implicate {p:?} missing for {models:#06x}"
+            );
+        }
+        assert_eq!(out.len(), primes.len());
+        let complement: Vec<QClause> = table
+            .iter()
+            .enumerate()
+            .filter(|&(_, &model)| !model)
+            .map(|(row, _)| {
+                (0..NPREDS)
+                    .map(|pred| QLit {
+                        pred,
+                        positive: row >> pred & 1 == 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(normalize(&complement), out, "{models:#06x}");
+    }
+}
+
+/// Ten predicates, and true unless exactly 4 or 5 of them hold. The 462
+/// falsifying rows' complement clauses normalize to 10 · C(9, 4) = 1,260
+/// prime implicates: for each left-out predicate and each choice of 4
+/// others, the clause "one of those 4 is false or one of the other 5 is
+/// true". That is more than the 1,024-clause cap the resolution loop
+/// once stopped at.
+#[test]
+fn ten_predicates_normalize_to_all_1260_prime_implicates() {
+    const N: usize = 10;
+    let falsifying = |row: usize| matches!(row.count_ones(), 4 | 5);
+    let complement: Vec<QClause> = (0..1usize << N)
+        .filter(|&row| falsifying(row))
+        .map(|row| {
+            (0..N)
+                .map(|pred| QLit {
+                    pred,
+                    positive: row >> pred & 1 == 0,
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(complement.len(), 462);
+    let out = normalize(&complement);
+    assert_eq!(out.len(), 1_260);
+    for c in &out {
+        assert_eq!(c.len(), 9, "{c:?}");
+        assert_eq!(c.lits().iter().filter(|l| !l.positive).count(), 4, "{c:?}");
+    }
+    assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
 }

@@ -67,6 +67,13 @@ pub enum Term {
     Ite(TermId, TermId, TermId),
 }
 
+/// The result of a checked constant fold, or a panic naming the
+/// overflow. The analysis isolates each procedure, so the panic becomes
+/// an incident instead of a wrapped constant and a wrong verdict.
+fn checked(folded: Option<i64>) -> i64 {
+    folded.expect("integer overflow: a constant leaves the 64-bit range")
+}
+
 /// The term context: hash-consing store and sort table.
 #[derive(Debug, Default)]
 pub struct Ctx {
@@ -280,16 +287,21 @@ impl Ctx {
     }
 
     /// N-ary sum (flattening and constant folding).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the folded constant overflows `i64`: the term
+    /// language has no wider integers to fall back on.
     pub fn mk_add(&mut self, parts: Vec<TermId>) -> TermId {
         let mut out = Vec::new();
         let mut konst = 0i64;
         for p in parts {
             match self.term(p) {
-                Term::IntConst(n) => konst = konst.wrapping_add(*n),
+                Term::IntConst(n) => konst = checked(konst.checked_add(*n)),
                 Term::Add(inner) => {
                     for &q in inner {
                         match self.term(q) {
-                            Term::IntConst(n) => konst = konst.wrapping_add(*n),
+                            Term::IntConst(n) => konst = checked(konst.checked_add(*n)),
                             _ => out.push(q),
                         }
                     }
@@ -309,18 +321,23 @@ impl Ctx {
     }
 
     /// Constant multiple `c·t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a folded constant overflows `i64`, as
+    /// [`Ctx::mk_add`] does.
     pub fn mk_mulc(&mut self, c: i64, t: TermId) -> TermId {
         debug_assert_eq!(self.sort(t), TermSort::Int);
         match (c, self.term(t)) {
             (0, _) => self.mk_int(0),
             (1, _) => t,
             (_, Term::IntConst(n)) => {
-                let v = c.wrapping_mul(*n);
+                let v = checked(c.checked_mul(*n));
                 self.mk_int(v)
             }
             (_, Term::MulC(c2, inner)) => {
                 let inner = *inner;
-                let cc = c.wrapping_mul(*c2);
+                let cc = checked(c.checked_mul(*c2));
                 self.mk_mulc(cc, inner)
             }
             _ => self.intern(Term::MulC(c, t), TermSort::Int),

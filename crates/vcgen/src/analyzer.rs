@@ -378,20 +378,10 @@ impl ProcAnalyzer {
             .unwrap_or_default()
     }
 
-    /// Exports the dominance cache's antichains for persistence (`None`
-    /// when the cache is disabled).
+    /// Exports the dominance cache's antichains (`None` when the cache
+    /// is disabled).
     pub fn cache_snapshot(&self) -> Option<crate::cache::CacheSnapshot> {
         self.cache.as_ref().map(QueryCache::snapshot)
-    }
-
-    /// Warms the dominance cache from a persisted snapshot. No-op when
-    /// the cache is disabled. Only sound against the identical encoding
-    /// that produced the snapshot (the result store keys snapshots by
-    /// procedure fingerprint to guarantee this).
-    pub fn seed_cache(&mut self, snapshot: crate::cache::CacheSnapshot) {
-        if let Some(cache) = &mut self.cache {
-            cache.seed(snapshot);
-        }
     }
 
     /// Enables (or disables) per-query [`QueryRecord`] collection — the

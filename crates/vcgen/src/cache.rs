@@ -83,25 +83,15 @@ fn is_subset(a: &[TermId], b: &[TermId]) -> bool {
     true
 }
 
-/// An owned export of a cache's antichains, for persistence (the
-/// result store serializes these and warms a fresh session's cache on
-/// reload). Entries are canonical sorted keys of raw [`TermId`]s; they
-/// are only meaningful against the *identical* encoding that produced
-/// them, which the store guarantees by keying on the procedure
-/// fingerprint.
+/// An owned export of a cache's antichains. Entries are canonical
+/// sorted keys of raw [`TermId`]s; they are only meaningful against the
+/// *identical* encoding that produced them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// Maximal known-satisfiable assumption sets.
     pub sat: Vec<Vec<TermId>>,
     /// Minimal known-unsatisfiable assumption sets.
     pub unsat: Vec<Vec<TermId>>,
-}
-
-impl CacheSnapshot {
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.sat.is_empty() && self.unsat.is_empty()
-    }
 }
 
 /// The subset-keyed dominance store (see the module docs for the
@@ -186,25 +176,11 @@ impl QueryCache {
         }
     }
 
-    /// Exports the antichains for persistence. The stats are not part
-    /// of the snapshot — a warmed cache starts its counters at zero.
+    /// Exports the antichains. The stats are not part of the snapshot.
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
             sat: self.sat.clone(),
             unsat: self.unsat.clone(),
-        }
-    }
-
-    /// Seeds the cache from a persisted snapshot by replaying each
-    /// entry through [`QueryCache::insert`], restoring the antichain
-    /// invariants even if the snapshot was hand-edited. Counters are
-    /// untouched, so hit/miss telemetry reflects only this run.
-    pub fn seed(&mut self, snapshot: CacheSnapshot) {
-        for key in snapshot.sat {
-            self.insert(QueryCache::canonical(&key), true);
-        }
-        for key in snapshot.unsat {
-            self.insert(QueryCache::canonical(&key), false);
         }
     }
 
@@ -281,27 +257,6 @@ mod tests {
         // Idempotent when already empty: not double-counted.
         c.invalidate_sat();
         assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn snapshot_seed_roundtrip_restores_dominance() {
-        let mut c = QueryCache::new();
-        c.insert(k(&[1, 2, 3]), true);
-        c.insert(k(&[7, 8]), false);
-        let snap = c.snapshot();
-        let mut warm = QueryCache::new();
-        warm.seed(snap.clone());
-        assert_eq!(warm.snapshot(), snap);
-        assert_eq!(warm.lookup(&k(&[2])), Some(true));
-        assert_eq!(warm.lookup(&k(&[7, 8, 9])), Some(false));
-        // Seeding replays through insert, so a redundant snapshot
-        // collapses back to the antichain.
-        let mut redundant = QueryCache::new();
-        redundant.seed(CacheSnapshot {
-            sat: vec![k(&[1]), k(&[1, 2])],
-            unsat: vec![k(&[5, 6]), k(&[5])],
-        });
-        assert_eq!(redundant.len(), 2);
     }
 
     #[test]

@@ -159,7 +159,9 @@ fn load_program(path: &str) -> Result<Program, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     let program = if path.ends_with(".c") {
         acspec_cfront::compile_c(&source).map_err(|e| match e {
-            acspec_cfront::CompileError::Parse(p) => format!("{path}:{}: {}", p.line, p.msg),
+            acspec_cfront::CompileError::Parse(p) => {
+                format!("{path}:{}:{}: {}", p.line, p.col, p.msg)
+            }
             acspec_cfront::CompileError::Lower(l) => format!("{path}:{}: {}", l.line, l.msg),
         })?
     } else {

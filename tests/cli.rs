@@ -1,7 +1,9 @@
-//! `acspec` argument handling: options the CLI does not have are usage
-//! errors (exit 2 plus the usage text), never silently ignored.
+//! `acspec` argument and input handling: options the CLI does not have
+//! are usage errors (exit 2 plus the usage text), never silently
+//! ignored, and hostile inputs get a diagnostic or an incident, never a
+//! crash or a wrong verdict.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn acspec_on_fig1(args: &[&str]) -> Output {
@@ -65,5 +67,107 @@ fn help_prints_the_usage_and_succeeds() {
             "acspec {flag} must print the usage on stdout:\n{stdout}"
         );
         assert!(out.stderr.is_empty(), "acspec {flag} must not complain");
+    }
+}
+
+/// Writes `source` to a fresh `input.<ext>` and runs `acspec` on it.
+fn acspec_on_source(name: &str, ext: &str, source: &str, args: &[&str]) -> (Output, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("acspec-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let input = dir.join(format!("input.{ext}"));
+    std::fs::write(&input, source).expect("write input");
+    let out = Command::new(env!("CARGO_BIN_EXE_acspec"))
+        .arg(&input)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("acspec runs");
+    (out, input)
+}
+
+/// x = -2^63 fails both assertions. Folding their constants in 64 bits
+/// would wrap, so the analysis must stop with an incident instead of
+/// reporting, certifying or witnessing a wrapped constant.
+#[test]
+fn integer_overflow_is_an_incident_never_a_verdict() {
+    for (name, assertion) in [
+        ("overflow-min", "x != 0 - 9223372036854775807 - 1"),
+        ("overflow-plus-two", "x != 9223372036854775807 + 2"),
+    ] {
+        let source = format!("procedure f(x: int) {{ assert {assertion}; }}\n");
+        let (out, input) = acspec_on_source(
+            name,
+            "acs",
+            &source,
+            &["--format", "json", "--certs-out", "certs.json"],
+        );
+        let report = String::from_utf8_lossy(&out.stdout);
+        let doc = acspec_check::json::parse(&report).expect("the report is JSON");
+        let incidents = doc
+            .get("incidents")
+            .and_then(|v| v.arr())
+            .expect("incidents list");
+        assert!(
+            incidents.iter().any(|i| i
+                .get("message")
+                .and_then(|m| m.str())
+                .is_some_and(|m| m.contains("overflow"))),
+            "`assert {assertion}` must raise an overflow incident:\n{report}"
+        );
+        assert!(
+            !report.contains("-9223372036854775807"),
+            "a wrapped constant reached a spec or witness:\n{report}"
+        );
+        let sidecar = std::fs::read_to_string(input.with_file_name("certs.json")).expect("sidecar");
+        assert!(
+            !sidecar.contains("cannot_fail"),
+            "`assert {assertion}` can fail, yet was certified:\n{sidecar}"
+        );
+        let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
+    }
+}
+
+/// Past `MAX_DEPTH` (256) nested levels, both front ends stop with a
+/// `file:line:col` diagnostic and exit 2 instead of overflowing the
+/// stack; exactly 256 levels still analyse.
+#[test]
+fn deep_nesting_is_a_located_usage_error() {
+    let nest =
+        |depth: usize, inner: &str| format!("{}{inner}{}", "(".repeat(depth), ")".repeat(depth));
+    let acs = |depth| {
+        format!(
+            "procedure f(x: int) {{ assert {}; }}\n",
+            nest(depth, "x != 0")
+        )
+    };
+    let c = |depth| {
+        format!(
+            "int f(int *p) {{\n  return *p + {};\n}}\n",
+            nest(depth, "0")
+        )
+    };
+    for (ext, line, source) in [("acs", 1, &acs as &dyn Fn(usize) -> String), ("c", 2, &c)] {
+        let (out, input) = acspec_on_source(&format!("deep-{ext}"), ext, &source(50_000), &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "50,000 deep .{ext}: {stderr}");
+        let located = stderr
+            .strip_prefix(&format!("error: {}:{line}:", input.display()))
+            .and_then(|rest| rest.split_once(": nesting deeper than 256 levels"))
+            .is_some_and(|(col, _)| col.parse::<u32>().is_ok());
+        assert!(
+            located,
+            "50,000 deep .{ext} needs a file:line:col diagnostic:\n{stderr}"
+        );
+
+        let (out, input) = acspec_on_source(&format!("deep-{ext}"), ext, &source(256), &[]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_ne!(
+            out.status.code(),
+            Some(2),
+            "256 deep .{ext} must analyse: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("procedure f"), "256 deep .{ext}:\n{stdout}");
+        let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
     }
 }
