@@ -1625,7 +1625,10 @@ fn ablation_interproc(scale: usize) {
     };
 
     let (fn_before, fp_before) = classify_run(&bm.program);
-    let inferred = infer_preconditions(&bm.program, &opts).expect("infers");
+    let inferred = infer_preconditions(&bm.program, &opts);
+    for incident in &inferred.incidents {
+        println!("incident: {incident}");
+    }
     let (fn_after, fp_after) = classify_run(&inferred.program);
     println!(
         "{} NULL-passing call sites among {} callers; {} preconditions inferred",

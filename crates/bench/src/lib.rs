@@ -133,7 +133,7 @@ impl Default for EvalOptions {
                 conflict_budget: Some(400_000),
                 ..AnalyzerConfig::default()
             },
-            configs: &[ConfigName::Conc, ConfigName::A1, ConfigName::A2],
+            configs: &ConfigName::LADDER,
             threads: 0,
             certify: false,
         }

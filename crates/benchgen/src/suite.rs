@@ -201,15 +201,6 @@ pub fn generate_entry(entry: &SuiteEntry, scale: usize) -> Benchmark {
     }
 }
 
-/// Generates the benchmarks of a given kind.
-pub fn generate_kind(kind: SuiteKind, scale: usize) -> Vec<Benchmark> {
-    SUITE
-        .iter()
-        .filter(|e| e.kind == kind)
-        .map(|e| generate_entry(e, scale))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

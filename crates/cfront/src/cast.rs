@@ -183,10 +183,4 @@ impl CProgram {
     pub fn func(&self, name: &str) -> Option<&CFunc> {
         self.funcs.iter().find(|f| f.name == name)
     }
-
-    /// Source lines of code of the functions with bodies (approximated as
-    /// statement count; the generators also track raw text lines).
-    pub fn def_count(&self) -> usize {
-        self.funcs.iter().filter(|f| f.body.is_some()).count()
-    }
 }

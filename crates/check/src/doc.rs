@@ -705,11 +705,6 @@ fn parse_proc(v: &Value) -> Result<Proc, String> {
     })
 }
 
-/// Parses a certificate sidecar document from JSON text.
-pub fn parse_certs_doc(text: &str) -> Result<CertsDoc, String> {
-    certs_doc_from_value(&crate::json::parse(text)?)
-}
-
 /// Reads a certificate sidecar document from an already-parsed JSON
 /// value.
 pub fn certs_doc_from_value(v: &Value) -> Result<CertsDoc, String> {

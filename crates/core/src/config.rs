@@ -25,6 +25,11 @@ pub enum ConfigName {
 }
 
 impl ConfigName {
+    /// The triage ladder, most precise first: the configurations the
+    /// paper's evaluation reports. `A0` is omitted, as in Figures 6–9:
+    /// any ν-dependent failure it catches, `A2` catches too.
+    pub const LADDER: [ConfigName; 3] = [ConfigName::Conc, ConfigName::A1, ConfigName::A2];
+
     /// The corresponding vocabulary abstraction.
     pub fn abstraction(self) -> Abstraction {
         match self {

@@ -12,10 +12,14 @@
 //! these inferred preconditions at call sites, so "simple but buggy"
 //! callees like `void Foo(x) { *x = 1; }` surface as warnings in their
 //! callers instead of false negatives.
+//!
+//! Each procedure's inference runs behind the same panic/error barrier
+//! as a [`ProgramAnalysis`](crate::ProgramAnalysis) session: a procedure
+//! whose inference faults keeps its contract and yields an incident.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use acspec_ir::desugar::{desugar_procedure, DesugarOptions};
+use acspec_ir::desugar::{desugar_procedure, DesugarOptions, DesugaredProc};
 use acspec_ir::expr::Formula;
 use acspec_ir::program::Program;
 use acspec_ir::stmt::Stmt;
@@ -26,7 +30,8 @@ use acspec_predabs::normalize::{normalize, MAX_PREDICATES};
 use acspec_vcgen::analyzer::ProcAnalyzer;
 
 use crate::config::{AcspecOptions, MAX_COVER_CLAUSES};
-use crate::driver::AcspecError;
+use crate::report::AnalysisIncident;
+use crate::session::isolated;
 
 /// Result of the inference pass.
 #[derive(Debug, Clone)]
@@ -35,6 +40,9 @@ pub struct InferredContracts {
     pub program: Program,
     /// The preconditions adopted, per procedure.
     pub inferred: BTreeMap<String, Formula>,
+    /// Procedures whose inference panicked or errored, bottom-up. Each
+    /// kept its contract; the message names precondition inference.
+    pub incidents: Vec<AnalysisIncident>,
 }
 
 pub(crate) fn callees_of(body: &Stmt, out: &mut BTreeSet<String>) {
@@ -106,78 +114,84 @@ fn bottom_up_order(program: &Program) -> Vec<String> {
 /// and globals (ν-free) and creates no dead code in the callee. The
 /// returned program can then be analyzed with
 /// [`crate::analyze_procedure`] as usual; inferred preconditions surface
-/// as `pre:<callee>@<site>` warnings in callers.
-///
-/// # Errors
-///
-/// Returns [`AcspecError`] for malformed programs. Procedures that
-/// exceed the analysis budget simply keep their trivial contracts.
-pub fn infer_preconditions(
-    program: &Program,
-    opts: &AcspecOptions,
-) -> Result<InferredContracts, AcspecError> {
+/// as `pre:<callee>@<site>` warnings in callers. Procedures that exceed
+/// the analysis budget simply keep their trivial contracts; those that
+/// fail to desugar or encode, or panic, keep them too and yield an
+/// incident.
+pub fn infer_preconditions(program: &Program, opts: &AcspecOptions) -> InferredContracts {
     let mut out = program.clone();
     let mut inferred = BTreeMap::new();
+    let mut incidents = Vec::new();
     for name in bottom_up_order(program) {
-        let proc = out.procedure(&name).expect("ordered over out").clone();
+        let proc = out.procedure(&name).expect("ordered over out");
         if proc.contract.requires != Formula::True {
             continue; // respect user-provided contracts
         }
-        let d = desugar_procedure(&out, &proc, DesugarOptions::default())?;
-        let mut az = ProcAnalyzer::new(&d, opts.analyzer)?;
-        // ν-free concrete vocabulary: the precondition must be a formula
-        // over the caller-visible state (parameters and globals).
-        let q: Vec<_> = mine_predicates(&d, Abstraction::concrete())
-            .into_iter()
-            .filter(|a| a.nu_consts().is_empty())
-            .collect();
-        if q.is_empty() || q.len() > MAX_PREDICATES {
-            continue;
+        let spec = isolated(&name, || {
+            let d = desugar_procedure(&out, proc, DesugarOptions::default())?;
+            let mut az = ProcAnalyzer::new(&d, opts.analyzer)?;
+            Ok(adoptable_precondition(&d, &mut az))
+        });
+        match spec {
+            Ok(Some(spec)) => {
+                let target = out
+                    .procedures
+                    .iter_mut()
+                    .find(|p| p.name == name)
+                    .expect("exists");
+                target.contract.requires = spec.clone();
+                inferred.insert(name, spec);
+            }
+            Ok(None) => {}
+            Err(mut incident) => {
+                incident.message = format!("precondition inference: {}", incident.message);
+                incidents.push(incident);
+            }
         }
-        let Ok(baseline_dead) = az.dead_set(&[]) else {
-            continue;
-        };
-        let Ok(cover) = predicate_cover_capped(&mut az, &q, MAX_COVER_CLAUSES) else {
-            continue;
-        };
-        if cover.clauses.is_empty() {
-            continue; // already correct under `true`
-        }
-        // Adopt only specs that kill no code (no SIB): otherwise the
-        // callee's own warning machinery is the right reporter.
-        let sels = cover.install_selectors(&mut az);
-        let Ok(consistent) = az.is_consistent(&sels, &[]) else {
-            continue;
-        };
-        if !consistent {
-            continue;
-        }
-        let Ok(dead) = az.dead_set(&sels) else {
-            continue;
-        };
-        if dead.difference(&baseline_dead).next().is_some() {
-            continue;
-        }
-        let simplified = normalize(&cover.clauses);
-        let spec = clauses_to_formula(&simplified, &cover.preds);
-        let target = out
-            .procedures
-            .iter_mut()
-            .find(|p| p.name == name)
-            .expect("exists");
-        target.contract.requires = spec.clone();
-        inferred.insert(name, spec);
     }
-    Ok(InferredContracts {
+    InferredContracts {
         program: out,
         inferred,
-    })
+        incidents,
+    }
+}
+
+/// The procedure's `β_Q(wp)` over its ν-free concrete vocabulary, when
+/// it is non-trivial, consistent and kills no code; `None` otherwise,
+/// including when a query exceeds the budget.
+fn adoptable_precondition(d: &DesugaredProc, az: &mut ProcAnalyzer) -> Option<Formula> {
+    // ν-free concrete vocabulary: the precondition must be a formula
+    // over the caller-visible state (parameters and globals).
+    let q: Vec<_> = mine_predicates(d, Abstraction::concrete())
+        .into_iter()
+        .filter(|a| a.nu_consts().is_empty())
+        .collect();
+    if q.is_empty() || q.len() > MAX_PREDICATES {
+        return None;
+    }
+    let baseline_dead = az.dead_set(&[]).ok()?;
+    let cover = predicate_cover_capped(az, &q, MAX_COVER_CLAUSES).ok()?;
+    if cover.clauses.is_empty() {
+        return None; // already correct under `true`
+    }
+    // Adopt only specs that kill no code (no SIB): otherwise the
+    // callee's own warning machinery is the right reporter.
+    let sels = cover.install_selectors(az);
+    if !az.is_consistent(&sels, &[]).ok()? {
+        return None;
+    }
+    let dead = az.dead_set(&sels).ok()?;
+    if dead.difference(&baseline_dead).next().is_some() {
+        return None;
+    }
+    let simplified = normalize(&cover.clauses);
+    Some(clauses_to_formula(&simplified, &cover.preds))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_procedure, ConfigName, SibStatus};
+    use crate::{analyze_procedure, ConfigName, IncidentKind, SibStatus};
     use acspec_ir::parse::parse_program;
 
     #[test]
@@ -195,7 +209,7 @@ mod tests {
         )
         .expect("parses");
         let opts = AcspecOptions::for_config(ConfigName::Conc);
-        let inferred = infer_preconditions(&prog, &opts).expect("infers");
+        let inferred = infer_preconditions(&prog, &opts);
         assert_eq!(
             inferred.inferred.get("callee").map(ToString::to_string),
             Some("x != 0".to_string())
@@ -229,7 +243,7 @@ mod tests {
         )
         .expect("parses");
         let opts = AcspecOptions::for_config(ConfigName::Conc);
-        let inferred = infer_preconditions(&prog, &opts).expect("infers");
+        let inferred = infer_preconditions(&prog, &opts);
         assert!(
             !inferred.inferred.contains_key("callee"),
             "SIB callee must not export: {:?}",
@@ -254,7 +268,7 @@ mod tests {
         )
         .expect("parses");
         let opts = AcspecOptions::for_config(ConfigName::Conc);
-        let inferred = infer_preconditions(&prog, &opts).expect("infers");
+        let inferred = infer_preconditions(&prog, &opts);
         assert!(!inferred.inferred.contains_key("callee"));
         let callee = inferred.program.procedure("callee").expect("x");
         assert_eq!(callee.contract.requires.to_string(), "x > 5");
@@ -276,7 +290,7 @@ mod tests {
         )
         .expect("parses");
         let opts = AcspecOptions::for_config(ConfigName::Conc);
-        let inferred = infer_preconditions(&prog, &opts).expect("infers");
+        let inferred = infer_preconditions(&prog, &opts);
         assert!(inferred.inferred.contains_key("leaf"));
         assert!(
             inferred.inferred.contains_key("mid"),
@@ -286,6 +300,41 @@ mod tests {
         let top = inferred.program.procedure("top").expect("x").clone();
         let r = analyze_procedure(&inferred.program, &top, &opts).expect("ok");
         assert_eq!(r.warnings.len(), 1, "got {:?}", r.warnings);
+    }
+
+    /// Encoding `wrapped`'s constant overflows: its inference panics,
+    /// so it keeps `requires true` and yields one incident, and its
+    /// caller is still inferred.
+    #[test]
+    fn a_faulting_callee_keeps_its_contract() {
+        let prog = parse_program(
+            "procedure wrapped(x: int) {
+               assert x != 0 - 9223372036854775807 - 1;
+             }
+             procedure caller(p: int) {
+               call wrapped(p);
+               assert p != 0;
+             }",
+        )
+        .expect("parses");
+        let opts = AcspecOptions::for_config(ConfigName::Conc);
+        let inferred = infer_preconditions(&prog, &opts);
+        let [incident] = inferred.incidents.as_slice() else {
+            panic!("one incident expected: {:?}", inferred.incidents);
+        };
+        assert_eq!(incident.proc_name, "wrapped");
+        assert_eq!(incident.kind, IncidentKind::Panic);
+        assert!(
+            incident.message.starts_with("precondition inference: ")
+                && incident.message.contains("overflow"),
+            "{incident}"
+        );
+        let wrapped = inferred.program.procedure("wrapped").expect("x");
+        assert_eq!(wrapped.contract.requires, Formula::True);
+        assert_eq!(
+            inferred.inferred.get("caller").map(ToString::to_string),
+            Some("p != 0".to_string())
+        );
     }
 
     #[test]
@@ -301,7 +350,7 @@ mod tests {
         )
         .expect("parses");
         let opts = AcspecOptions::for_config(ConfigName::Conc);
-        let inferred = infer_preconditions(&prog, &opts).expect("infers");
+        let inferred = infer_preconditions(&prog, &opts);
         assert!(inferred.inferred.is_empty(), "{:?}", inferred.inferred);
     }
 }

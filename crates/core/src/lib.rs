@@ -77,4 +77,4 @@ pub use session::{
     SessionObserver, StageEvent, StageTotals, TeeObserver,
 };
 pub use telemetry::{TelemetryObserver, TelemetryOutput};
-pub use triage::{triage_procedure, triage_program, Confidence, RankedWarning};
+pub use triage::{rank, Confidence, RankedWarning};

@@ -299,14 +299,6 @@ impl StageTotals {
     pub fn iter(&self) -> impl Iterator<Item = (Option<ReportLabel>, &StageTable)> {
         self.totals.iter().map(|(l, t)| (*l, t))
     }
-
-    /// Folds another accumulator into this one.
-    pub fn absorb(&mut self, other: &StageTotals) {
-        for (label, table) in &other.totals {
-            self.totals.entry(*label).or_default().merge(table);
-        }
-        self.procs += other.procs;
-    }
 }
 
 impl SessionObserver for StageTotals {
@@ -439,11 +431,6 @@ impl ProcSession {
     pub fn enable_certs(&mut self) {
         self.certify = true;
         self.az.enable_certs();
-    }
-
-    /// Whether [`ProcSession::enable_certs`] was called.
-    pub fn certs_enabled(&self) -> bool {
-        self.certify
     }
 
     /// Drains everything the session certified (store, claims, chains).
@@ -1403,7 +1390,6 @@ pub struct ProgramAnalysis<'p> {
     configs: Vec<ConfigName>,
     prune_variants: Vec<PruneConfig>,
     threads: usize,
-    skip_correct: bool,
     certify: bool,
     store: Option<&'p StoreSession>,
 }
@@ -1416,8 +1402,7 @@ pub struct ProcAnalysis {
     /// The `Cons` baseline report.
     pub cons: ProcReport,
     /// `reports[config][variant]`, parallel to the requested configs and
-    /// prune variants. Empty when the procedure was screened correct and
-    /// correct procedures are skipped.
+    /// prune variants. Empty when the procedure was screened correct.
     pub reports: Vec<Vec<ProcReport>>,
     /// The session's stage events, in execution order.
     pub events: Vec<StageEvent>,
@@ -1516,17 +1501,41 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs one procedure's analysis behind the panic/error barrier: anything
+/// it throws — an [`AcspecError`] or a panic (the solver's, an overflowing
+/// constant's, or an injected chaos panic) — becomes an
+/// [`AnalysisIncident`] attributed to the stage that was executing.
+pub(crate) fn isolated<T>(
+    proc_name: &str,
+    analysis: impl FnOnce() -> Result<T, AcspecError>,
+) -> Result<T, AnalysisIncident> {
+    CURRENT_STAGE.with(|c| c.set(None));
+    CURRENT_PROC.with(|c| *c.borrow_mut() = Some(proc_name.to_string()));
+    let (kind, message) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(analysis)) {
+        Ok(Ok(value)) => return Ok(value),
+        Ok(Err(e)) => (IncidentKind::Error, e.to_string()),
+        Err(payload) => (IncidentKind::Panic, panic_message(payload.as_ref())),
+    };
+    Err(AnalysisIncident {
+        proc_name: current_proc_or(proc_name),
+        kind,
+        stage: CURRENT_STAGE.with(Cell::get),
+        message,
+    })
+}
+
 impl<'p> ProgramAnalysis<'p> {
-    /// An analysis of `program` under the evaluation's default ladder
-    /// (`Conc`, `A1`, `A2`), no pruning, default options, all cores.
+    /// An analysis of `program` under the triage ladder
+    /// ([`ConfigName::LADDER`]), no pruning, default options, all cores.
+    /// Procedures the conservative screen proves correct skip the
+    /// configurations, as in the paper's evaluation.
     pub fn new(program: &'p Program) -> ProgramAnalysis<'p> {
         ProgramAnalysis {
             program,
             base: AcspecOptions::default(),
-            configs: vec![ConfigName::Conc, ConfigName::A1, ConfigName::A2],
+            configs: ConfigName::LADDER.to_vec(),
             prune_variants: Vec::new(),
             threads: 0,
-            skip_correct: true,
             certify: false,
             store: None,
         }
@@ -1569,15 +1578,6 @@ impl<'p> ProgramAnalysis<'p> {
         self
     }
 
-    /// Whether to skip the configuration ladder for procedures the
-    /// conservative screen proves correct (default `true`, as the
-    /// paper's evaluation does).
-    #[must_use]
-    pub fn skip_correct(mut self, skip: bool) -> Self {
-        self.skip_correct = skip;
-        self
-    }
-
     /// Whether every session certifies its verdicts (default `false`).
     /// Certification replays queries against one replay solver per
     /// procedure off the budget/chaos/counter paths, so reports are
@@ -1616,7 +1616,7 @@ impl<'p> ProgramAnalysis<'p> {
                 &self.base,
                 &self.configs,
                 &self.prune_variants,
-                self.skip_correct,
+                true, // skip_correct: correct procedures are always skipped
                 self.certify,
             ),
         ))
@@ -1651,7 +1651,7 @@ impl<'p> ProgramAnalysis<'p> {
             session.enable_certs();
         }
         let cons = session.cons();
-        let reports = if self.skip_correct && cons.status == SibStatus::Correct {
+        let reports = if cons.status == SibStatus::Correct {
             Vec::new()
         } else {
             self.configs
@@ -1684,35 +1684,18 @@ impl<'p> ProgramAnalysis<'p> {
         Ok(pa)
     }
 
-    /// Analyzes one procedure behind a panic/error barrier: anything a
-    /// session throws — an [`AcspecError`] or a panic (the solver's, or
-    /// an injected chaos panic) — becomes an [`AnalysisIncident`]
-    /// attributed to the stage that was executing.
+    /// [`ProgramAnalysis::analyze_one`] behind the [`isolated`] barrier.
     fn analyze_one_isolated(
         &self,
         proc: &Procedure,
         record_queries: bool,
         record_search: bool,
     ) -> ProcOutcome {
-        CURRENT_STAGE.with(|c| c.set(None));
-        CURRENT_PROC.with(|c| *c.borrow_mut() = Some(proc.name.clone()));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match isolated(&proc.name, || {
             self.analyze_one(proc, record_queries, record_search)
-        }));
-        match result {
-            Ok(Ok(pa)) => ProcOutcome::Analyzed(Box::new(pa)),
-            Ok(Err(e)) => ProcOutcome::Faulted(AnalysisIncident {
-                proc_name: current_proc_or(&proc.name),
-                kind: IncidentKind::Error,
-                stage: CURRENT_STAGE.with(std::cell::Cell::get),
-                message: e.to_string(),
-            }),
-            Err(payload) => ProcOutcome::Faulted(AnalysisIncident {
-                proc_name: current_proc_or(&proc.name),
-                kind: IncidentKind::Panic,
-                stage: CURRENT_STAGE.with(std::cell::Cell::get),
-                message: panic_message(payload.as_ref()),
-            }),
+        }) {
+            Ok(pa) => ProcOutcome::Analyzed(Box::new(pa)),
+            Err(incident) => ProcOutcome::Faulted(incident),
         }
     }
 

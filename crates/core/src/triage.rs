@@ -15,13 +15,17 @@
 //!   tables: any ν-dependent failure it catches, `A2` catches too);
 //! * reported by none — a demonic-environment warning (`Cons` only),
 //!   lowest confidence.
+//!
+//! [`rank`] reads those levels off the outcomes of a
+//! [`ProgramAnalysis`](crate::ProgramAnalysis) run over
+//! [`ConfigName::LADDER`]: `acspec --triage`, the scenario corpus's
+//! fingerprints and the examples all rank the same run the same way.
 
-use acspec_ir::program::{Procedure, Program};
+use std::collections::BTreeSet;
 
-use crate::config::{AcspecOptions, ConfigName};
-use crate::driver::AcspecError;
-use crate::report::{SibStatus, Warning};
-use crate::session::ProcSession;
+use crate::config::ConfigName;
+use crate::report::{ReportLabel, Warning};
+use crate::session::ProcOutcome;
 
 /// Confidence levels, highest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,6 +40,28 @@ pub enum Confidence {
     DemonicOnly,
 }
 
+impl Confidence {
+    /// Every level, highest first.
+    const ALL: [Confidence; 4] = [
+        Confidence::Concrete,
+        Confidence::Abstract1,
+        Confidence::Abstract2,
+        Confidence::DemonicOnly,
+    ];
+
+    /// The report that claims warnings at this level: a rung of
+    /// [`ConfigName::LADDER`], or the `Cons` baseline. Its name is the
+    /// level of a corpus fingerprint (`Conc`/`A1`/`A2`/`Cons`).
+    pub fn label(self) -> ReportLabel {
+        match self {
+            Confidence::Concrete => ReportLabel::Config(ConfigName::Conc),
+            Confidence::Abstract1 => ReportLabel::Config(ConfigName::A1),
+            Confidence::Abstract2 => ReportLabel::Config(ConfigName::A2),
+            Confidence::DemonicOnly => ReportLabel::Cons,
+        }
+    }
+}
+
 impl std::fmt::Display for Confidence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -48,7 +74,7 @@ impl std::fmt::Display for Confidence {
 }
 
 /// A warning with its confidence level and procedure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankedWarning {
     /// The confidence class.
     pub confidence: Confidence,
@@ -58,141 +84,96 @@ pub struct RankedWarning {
     pub warning: Warning,
     /// The almost-correct specification that revealed it, if any.
     pub spec: Option<String>,
+    /// The MinFail of the claiming report (0 for `Cons`).
+    pub min_fail: usize,
 }
 
-/// Triages every procedure of a program, returning warnings ordered by
-/// decreasing confidence (stable within a class: program order).
+/// Ranks the warnings of a [`ProgramAnalysis`](crate::ProgramAnalysis)
+/// run by decreasing confidence, stable within a class (program order).
 ///
-/// Procedures the conservative verifier proves correct contribute
-/// nothing; timed-out configurations are skipped (their warnings may
-/// then surface at a lower confidence).
-///
-/// # Errors
-///
-/// Returns [`AcspecError`] for malformed programs.
-pub fn triage_program(
-    program: &Program,
-    base: &AcspecOptions,
-) -> Result<Vec<RankedWarning>, AcspecError> {
+/// Each assertion is claimed by the first report of the ladder that
+/// warns about it, found by its label, so runs with more configurations
+/// (say `A0`) rank the same. Configurations that timed out are skipped,
+/// so their warnings may surface at a lower confidence. Procedures the
+/// conservative screen proves correct, and faulted ones, contribute
+/// nothing.
+pub fn rank(outcomes: &[ProcOutcome]) -> Vec<RankedWarning> {
     let mut out = Vec::new();
-    for proc in &program.procedures {
-        if proc.body.is_none() {
-            continue;
-        }
-        out.extend(triage_procedure(program, proc, base)?);
-    }
-    out.sort_by_key(|a| a.confidence);
-    Ok(out)
-}
-
-/// Triages a single procedure.
-///
-/// # Errors
-///
-/// Returns [`AcspecError`] for malformed programs.
-pub fn triage_procedure(
-    program: &Program,
-    proc: &Procedure,
-    base: &AcspecOptions,
-) -> Result<Vec<RankedWarning>, AcspecError> {
-    // One session serves the baseline and the whole ladder: the
-    // procedure is desugared, encoded, and screened exactly once.
-    let mut session = ProcSession::new(program, proc, base.analyzer)?;
-    let cons = session.cons();
-    if cons.status == SibStatus::Correct {
-        return Ok(Vec::new());
-    }
-    // Most precise first; the first configuration reporting an assertion
-    // claims it.
-    let ladder = [
-        (Confidence::Concrete, vec![ConfigName::Conc]),
-        (Confidence::Abstract1, vec![ConfigName::A1]),
-        (Confidence::Abstract2, vec![ConfigName::A2]),
-    ];
-    let mut claimed: std::collections::BTreeSet<acspec_ir::AssertId> =
-        std::collections::BTreeSet::new();
-    let mut out = Vec::new();
-    for (confidence, configs) in ladder {
-        for config in configs {
-            let mut opts = *base;
-            opts.config = config;
-            let r = session
-                .run_config(&opts, &[opts.prune])
-                .into_iter()
-                .next()
-                .expect("one variant requested");
-            if r.timed_out() {
+    for pa in outcomes.iter().filter_map(ProcOutcome::analysis) {
+        let mut claimed = BTreeSet::new();
+        for confidence in Confidence::ALL {
+            let report = std::iter::once(&pa.cons)
+                .chain(pa.reports.iter().filter_map(|variants| variants.first()))
+                .find(|r| r.config == confidence.label());
+            let Some(r) = report.filter(|r| !r.timed_out()) else {
                 continue;
-            }
+            };
             let spec = r.specs.first().map(ToString::to_string);
-            for w in r.warnings {
+            for w in &r.warnings {
                 if claimed.insert(w.assert) {
                     out.push(RankedWarning {
                         confidence,
-                        proc_name: proc.name.clone(),
-                        warning: w,
+                        proc_name: pa.proc_name.clone(),
+                        warning: w.clone(),
                         spec: spec.clone(),
+                        min_fail: r.min_fail,
                     });
                 }
             }
         }
     }
-    for w in cons.warnings {
-        if claimed.insert(w.assert) {
-            out.push(RankedWarning {
-                confidence: Confidence::DemonicOnly,
-                proc_name: proc.name.clone(),
-                warning: w,
-                spec: None,
-            });
-        }
-    }
-    out.sort_by_key(|a| a.confidence);
-    Ok(out)
+    out.sort_by_key(|r| r.confidence);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NullObserver, ProgramAnalysis};
     use acspec_ir::parse::parse_program;
+
+    /// One procedure per confidence class.
+    const LADDER_SRC: &str = "
+        procedure ext() returns (r: int);
+
+        /* Conc: doomed dereference */
+        procedure high(x: int) {
+          if (x == 0) { assert x != 0; }
+        }
+
+        /* A1: figure-2 style inconsistency behind a conditional */
+        procedure medium() {
+          var data: int; var t: int;
+          call data := ext();
+          call t := ext();
+          if (t == 1) {
+            assert data != 0;
+          } else {
+            if (data != 0) { assert data != 0; }
+          }
+        }
+
+        /* A2: simple unchecked external value */
+        procedure low() {
+          var p: int;
+          call p := ext();
+          assert p != 0;
+        }
+
+        /* Cons only: parameter dereference */
+        procedure noise(p: int) {
+          assert p != 0;
+        }";
+
+    /// Ranks a default (ladder) analysis of `src`.
+    fn ranked(src: &str) -> Vec<RankedWarning> {
+        let prog = parse_program(src).expect("parses");
+        rank(&ProgramAnalysis::new(&prog).run(&mut NullObserver))
+    }
 
     #[test]
     fn ladder_assigns_expected_levels() {
-        // One procedure per confidence class.
-        let src = "
-            procedure ext() returns (r: int);
-
-            /* Conc: doomed dereference */
-            procedure high(x: int) {
-              if (x == 0) { assert x != 0; }
-            }
-
-            /* A1: figure-2 style inconsistency behind a conditional */
-            procedure medium() {
-              var data: int; var t: int;
-              call data := ext();
-              call t := ext();
-              if (t == 1) {
-                assert data != 0;
-              } else {
-                if (data != 0) { assert data != 0; }
-              }
-            }
-
-            /* A2: simple unchecked external value */
-            procedure low() {
-              var p: int;
-              call p := ext();
-              assert p != 0;
-            }
-
-            /* Cons only: parameter dereference */
-            procedure noise(p: int) {
-              assert p != 0;
-            }";
-        let prog = parse_program(src).expect("parses");
-        let opts = AcspecOptions::default();
-        let ranked = triage_program(&prog, &opts).expect("triages");
+        let ranked = ranked(LADDER_SRC);
         let level_of = |name: &str| -> Confidence {
             ranked
                 .iter()
@@ -212,30 +193,49 @@ mod tests {
 
     #[test]
     fn correct_procedures_contribute_nothing() {
-        let prog = parse_program(
+        let ranked = ranked(
             "procedure ok(x: int) {
                assume x != 0;
                assert x != 0;
              }",
-        )
-        .expect("parses");
-        let ranked = triage_program(&prog, &AcspecOptions::default()).expect("triages");
+        );
         assert!(ranked.is_empty());
     }
 
     #[test]
     fn each_assert_claimed_once() {
-        let prog = parse_program(
+        let ranked = ranked(
             "procedure f(x: int) {
                if (x == 0) { assert x != 0; }
                assert x != 5;
              }",
-        )
-        .expect("parses");
-        let ranked = triage_program(&prog, &AcspecOptions::default()).expect("triages");
+        );
         let mut ids: Vec<_> = ranked.iter().map(|r| r.warning.assert).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), ranked.len(), "no duplicates: {ranked:?}");
+    }
+
+    /// Reports are found by label, not position: a run that also
+    /// evaluates `A0` ranks exactly as the ladder-only run does.
+    #[test]
+    fn a0_in_the_run_ranks_as_the_ladder() {
+        let prog = parse_program(LADDER_SRC).expect("parses");
+        let all = ProgramAnalysis::new(&prog)
+            .configs(&ConfigName::all())
+            .run(&mut NullObserver);
+        assert_eq!(rank(&all), ranked(LADDER_SRC));
+    }
+
+    /// x = -2^63 fails the assertion, but encoding its constant
+    /// overflows: the procedure faults and ranks nothing, and the rest
+    /// of the program ranks as it would alone.
+    #[test]
+    fn faulted_procedures_contribute_nothing() {
+        let overflow = "procedure f(x: int) { assert x != 0 - 9223372036854775807 - 1; }";
+        let prog = parse_program(&format!("{LADDER_SRC}\n{overflow}")).expect("parses");
+        let outcomes = ProgramAnalysis::new(&prog).run(&mut NullObserver);
+        assert!(outcomes.last().is_some_and(|o| o.incident().is_some()));
+        assert_eq!(rank(&outcomes), ranked(LADDER_SRC));
     }
 }

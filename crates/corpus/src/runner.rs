@@ -13,22 +13,17 @@
 //! cache, parallelism, fault-injection, and certification invariants at
 //! once.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 use acspec_check::check_document;
 use acspec_core::{
-    certs_json_from_fragments, AcspecOptions, ConfigName, ProcOutcome, ProgramAnalysis,
-    StageTotals, StoreSession,
+    certs_json_from_fragments, rank, AcspecOptions, ProcOutcome, ProgramAnalysis, StageTotals,
+    StoreSession,
 };
 use acspec_ir::Program;
 use acspec_vcgen::chaos::ChaosConfig;
 
 use crate::fingerprint::{Oracle, WarningFingerprint};
-
-/// The ladder every leg evaluates, most precise first (the paper's
-/// evaluation ladder; `A0` is omitted as in Figures 6–9).
-pub const CONFIGS: &[ConfigName] = &[ConfigName::Conc, ConfigName::A1, ConfigName::A2];
 
 /// One knob setting of the differential matrix.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +98,8 @@ pub struct LegRun {
     pub store_incidents: Vec<String>,
 }
 
-/// Runs one leg of the matrix over `program`.
+/// Runs one leg of the matrix over `program`: a `ProgramAnalysis` over
+/// the triage ladder, fingerprinted by [`rank`].
 ///
 /// The analyzer knobs are set explicitly from the leg — in particular
 /// the query cache, so an `ACSPEC_NO_QUERY_CACHE` environment (the CI
@@ -125,53 +121,27 @@ pub fn run_leg_with_store(program: &Program, leg: &RunLeg, store: Option<&StoreS
     let t0 = Instant::now();
     let outcomes = ProgramAnalysis::new(program)
         .options(opts)
-        .configs(CONFIGS)
         .threads(leg.threads)
         .certify(leg.certify)
         .store(store)
         .run(&mut totals);
     let wall_ms = t0.elapsed().as_millis() as u64;
 
-    let mut oracle = Oracle::default();
+    let mut oracle = Oracle {
+        warnings: rank(&outcomes)
+            .iter()
+            .map(|r| {
+                let level = r.confidence.label().to_string();
+                WarningFingerprint::new(&r.proc_name, &r.warning.tag, &level, r.min_fail)
+            })
+            .collect(),
+    };
     let mut cert_fragments = Vec::new();
     let mut incidents = Vec::new();
     let mut store_incidents = Vec::new();
     for outcome in outcomes {
         match outcome {
             ProcOutcome::Analyzed(pa) => {
-                // The triage ladder (§5): walking Conc → A1 → A2, the
-                // first configuration reporting an assertion claims it
-                // at its own MinFail; whatever only the conservative
-                // baseline reports is demonic-only (`Cons`, MinFail 0).
-                let mut claimed: BTreeSet<_> = BTreeSet::new();
-                for (ci, config) in CONFIGS.iter().enumerate() {
-                    let Some(r) = pa.reports.get(ci).and_then(|v| v.first()) else {
-                        continue;
-                    };
-                    if r.timed_out() {
-                        continue;
-                    }
-                    for w in &r.warnings {
-                        if claimed.insert(w.assert) {
-                            oracle.warnings.push(WarningFingerprint::new(
-                                &pa.proc_name,
-                                &w.tag,
-                                &config.to_string(),
-                                r.min_fail,
-                            ));
-                        }
-                    }
-                }
-                for w in &pa.cons.warnings {
-                    if claimed.insert(w.assert) {
-                        oracle.warnings.push(WarningFingerprint::new(
-                            &pa.proc_name,
-                            &w.tag,
-                            "Cons",
-                            pa.cons.min_fail,
-                        ));
-                    }
-                }
                 for incident in &pa.incidents {
                     store_incidents.push(format!("procedure `{}`: {incident}", pa.proc_name));
                 }

@@ -70,16 +70,6 @@ impl QClause {
                 .collect(),
         )
     }
-
-    /// The negation of the clause (a cube) as a formula.
-    pub fn negation_to_formula(&self, preds: &[Atom]) -> Formula {
-        Formula::and(
-            self.0
-                .iter()
-                .map(|l| preds[l.pred].to_literal_formula(!l.positive))
-                .collect(),
-        )
-    }
 }
 
 impl FromIterator<QLit> for QClause {

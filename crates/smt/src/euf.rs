@@ -347,11 +347,6 @@ impl Euf {
     pub fn class_constant(&self, n: Node) -> Option<i64> {
         self.class_const[self.find(n) as usize].map(|(c, _)| c)
     }
-
-    /// Iterates over all nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.kinds.len()
-    }
 }
 
 #[cfg(test)]

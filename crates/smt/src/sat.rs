@@ -465,11 +465,6 @@ impl Sat {
         v
     }
 
-    /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
-        self.assigns.len()
-    }
-
     /// Current assignment of a variable.
     pub fn value(&self, v: Var) -> LBool {
         self.assigns[v.0 as usize]
@@ -517,11 +512,6 @@ impl Sat {
         if self.search.is_none() {
             self.search = Some(SearchObserver::default());
         }
-    }
-
-    /// The live search observer (`None` = instrumentation disabled).
-    pub fn search_observer(&self) -> Option<&SearchObserver> {
-        self.search.as_ref()
     }
 
     /// Takes (and resets) the search summary accumulated since the

@@ -242,11 +242,6 @@ impl Solver {
         self.sat.enable_search();
     }
 
-    /// True when CDCL search instrumentation is enabled.
-    pub fn search_enabled(&self) -> bool {
-        self.sat.search_observer().is_some()
-    }
-
     /// Takes (and resets) the search summary accumulated since the
     /// previous take — under the lazy-SMT loop this aggregates every
     /// `Sat::solve` round of the theory query. `None` when
@@ -274,12 +269,6 @@ impl Solver {
             })
             .copied()
             .collect()
-    }
-
-    /// The Tseitin literal already assigned to a boolean term, if any
-    /// (read-only; does not create encodings).
-    pub fn existing_lit(&self, t: TermId) -> Option<Lit> {
-        self.lit_of.get(&t).copied()
     }
 
     /// Iterates the term → Tseitin-literal table (for certificate

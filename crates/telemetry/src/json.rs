@@ -27,12 +27,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// True for the numeric variants (`U64`/`I64`/`F64`) — the values a
-    /// redacted render zeroes out.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::U64(_) | Value::I64(_) | Value::F64(_))
-    }
-
     /// The same value with numbers replaced by zero (redacted render).
     pub fn zeroed(&self) -> Value {
         match self {

@@ -408,11 +408,6 @@ impl ProcAnalyzer {
         }
     }
 
-    /// Whether CDCL search recording is on.
-    pub fn search_recording(&self) -> bool {
-        self.record_search
-    }
-
     /// Drains the recorded queries (issue order).
     pub fn take_query_records(&mut self) -> Vec<QueryRecord> {
         std::mem::take(&mut self.query_log)
@@ -672,26 +667,6 @@ impl ProcAnalyzer {
     /// The truth value of a term in the last model (after a `Sat` query).
     pub fn model_bool(&self, t: TermId) -> Option<bool> {
         self.solver.bool_value(t)
-    }
-
-    /// A concrete environment witness from the last satisfiable query:
-    /// integer values for the integer-sorted inputs and ν-constants that
-    /// were relevant to the query. Call right after a query returned
-    /// `true` (e.g. [`ProcAnalyzer::can_fail`]) to obtain the input state
-    /// that exhibits the behavior.
-    pub fn input_witness(&self) -> std::collections::BTreeMap<String, i64> {
-        let mut out = std::collections::BTreeMap::new();
-        for (name, &t) in &self.input_env.vars {
-            if let Some(v) = self.solver.int_value(t) {
-                out.insert(name.clone(), v);
-            }
-        }
-        for (nu, &t) in &self.input_env.nus {
-            if let Some(v) = self.solver.int_value(t) {
-                out.insert(nu.to_string(), v);
-            }
-        }
-        out
     }
 
     /// If `assert` can fail under the active selectors, returns a
@@ -1001,11 +976,6 @@ impl ProcAnalyzer {
             solver.enable_proof();
             self.certs = Some((CertStore::new(), solver));
         }
-    }
-
-    /// Whether certification is enabled.
-    pub fn certs_enabled(&self) -> bool {
-        self.certs.is_some()
     }
 
     /// The certificate store built so far (its literal table is filled

@@ -9,7 +9,8 @@
 
 use acspec_cfront::compile_c;
 use acspec_core::{
-    analyze_procedure, infer_preconditions, triage_program, AcspecOptions, ConfigName,
+    analyze_procedure, infer_preconditions, rank, AcspecOptions, ConfigName, NullObserver,
+    ProgramAnalysis,
 };
 
 const SRC: &str = r#"
@@ -53,12 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Infer preconditions bottom-up (§7) and re-analyze.
-    let inferred = infer_preconditions(&program, &opts)?;
+    let inferred = infer_preconditions(&program, &opts);
+    assert!(inferred.incidents.is_empty(), "{:?}", inferred.incidents);
     for (name, spec) in &inferred.inferred {
         println!("inferred: procedure {name} requires {spec};");
     }
     println!();
-    let ranked = triage_program(&inferred.program, &opts)?;
+    let outcomes = ProgramAnalysis::new(&inferred.program)
+        .options(opts)
+        .run(&mut NullObserver);
+    let ranked = rank(&outcomes);
     for r in &ranked {
         println!(
             "[{}] {} :: {} ({})",

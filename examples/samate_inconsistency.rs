@@ -43,7 +43,7 @@ fn main() {
     );
     let bar = program.procedure("Bar").expect("Bar exists").clone();
 
-    for config in [ConfigName::Conc, ConfigName::A1, ConfigName::A2] {
+    for config in ConfigName::LADDER {
         let report = analyze_procedure(&program, &bar, &AcspecOptions::for_config(config))
             .expect("analyzes");
         println!(

@@ -11,7 +11,10 @@
 //!   --all-configs              analyze under all four configurations
 //!   --specs                    print the almost-correct specifications
 //!   --format <text|json>       output format (default text)
-//!   --triage                   rank all warnings by confidence
+//!   --triage                   rank all warnings by confidence: runs the
+//!                              Conc/A1/A2 ladder, prints text, and
+//!                              rejects --config, --all-configs, --cons,
+//!                              --specs and --format json
 //!
 //! run flags, shared with `repro` (`acspec_core::RunConfig`):
 //!   --trace-out <path>         write a JSONL span trace of the run
@@ -42,9 +45,9 @@
 use std::process::ExitCode;
 
 use acspec_core::{
-    certs_json_from_fragments, infer_preconditions, program_report_json_with, triage_program,
-    AcspecOptions, AnalysisOutcome, ConfigName, NullObserver, ProcOutcome, ProcReport,
-    ProgramAnalysis, RunConfig, SessionObserver, SibStatus, StoreSession, TelemetryObserver,
+    certs_json_from_fragments, infer_preconditions, program_report_json_with, rank, AcspecOptions,
+    AnalysisOutcome, ConfigName, NullObserver, ProcOutcome, ProcReport, ProgramAnalysis, RunConfig,
+    SessionObserver, SibStatus, StoreSession, TelemetryObserver,
 };
 use acspec_ir::Program;
 use acspec_telemetry::{opt, Manifest};
@@ -58,7 +61,7 @@ usage: acspec check <report.json | certs.json>";
 
 struct Cli {
     path: String,
-    config: ConfigName,
+    config: Option<ConfigName>,
     prune: Option<usize>,
     cons: bool,
     interproc: bool,
@@ -72,7 +75,7 @@ struct Cli {
 fn parse_args() -> Result<Cli, String> {
     let mut cli = Cli {
         path: String::new(),
-        config: ConfigName::Conc,
+        config: None,
         prune: None,
         cons: false,
         interproc: false,
@@ -92,13 +95,13 @@ fn parse_args() -> Result<Cli, String> {
         match args[i].as_str() {
             "--config" => {
                 let v = args.get(i + 1).ok_or("--config needs a value")?;
-                cli.config = match v.as_str() {
+                cli.config = Some(match v.as_str() {
                     "Conc" | "conc" => ConfigName::Conc,
                     "A0" | "a0" => ConfigName::A0,
                     "A1" | "a1" => ConfigName::A1,
                     "A2" | "a2" => ConfigName::A2,
                     other => return Err(format!("unknown config `{other}`")),
-                };
+                });
                 i += 2;
             }
             "--prune" => {
@@ -148,6 +151,20 @@ fn parse_args() -> Result<Cli, String> {
     }
     if cli.path.is_empty() {
         return Err("no input file".into());
+    }
+    if cli.triage {
+        let rejected = [
+            (cli.config.is_some(), "--config"),
+            (cli.all_configs, "--all-configs"),
+            (cli.cons, "--cons"),
+            (cli.show_specs, "--specs"),
+            (cli.json, "--format json"),
+        ];
+        if let Some((_, flag)) = rejected.iter().find(|(given, _)| *given) {
+            return Err(format!(
+                "--triage ranks the Conc/A1/A2 ladder as text; it does not take {flag}"
+            ));
+        }
     }
     Ok(cli)
 }
@@ -258,7 +275,7 @@ fn run() -> Result<bool, String> {
     let cli = parse_args()?;
     let mut program = load_program(&cli.path)?;
 
-    let mut opts = AcspecOptions::for_config(cli.config);
+    let mut opts = AcspecOptions::for_config(cli.config.unwrap_or(ConfigName::Conc));
     if let Some(k) = cli.prune {
         opts = opts.with_k_pruning(k);
     }
@@ -267,8 +284,9 @@ fn run() -> Result<bool, String> {
         silence_injected_panics();
     }
 
+    let mut incidents = Vec::new();
     if cli.interproc {
-        let inferred = infer_preconditions(&program, &opts).map_err(|e| e.to_string())?;
+        let inferred = infer_preconditions(&program, &opts);
         for (name, spec) in &inferred.inferred {
             println!("inferred precondition for `{name}`: requires {spec};");
         }
@@ -276,34 +294,15 @@ fn run() -> Result<bool, String> {
         if !inferred.inferred.is_empty() {
             println!();
         }
+        incidents = inferred.incidents;
     }
 
-    if cli.triage {
-        let ranked = triage_program(&program, &opts).map_err(|e| e.to_string())?;
-        if ranked.is_empty() {
-            println!("no warnings: every unproven obligation was suppressed");
-            return Ok(false);
-        }
-        println!("{} warning(s), highest confidence first:\n", ranked.len());
-        for r in &ranked {
-            println!(
-                "[{}] {} :: {} ({})",
-                r.confidence, r.proc_name, r.warning.assert, r.warning.tag
-            );
-            if let Some(w) = &r.warning.witness {
-                println!("    witness: {w}");
-            }
-            if let Some(spec) = &r.spec {
-                println!("    almost-correct spec: {spec}");
-            }
-        }
-        return Ok(true);
-    }
-
-    let configs: Vec<ConfigName> = if cli.all_configs {
+    let configs: Vec<ConfigName> = if cli.triage {
+        ConfigName::LADDER.to_vec()
+    } else if cli.all_configs {
         ConfigName::all().to_vec()
     } else {
-        vec![cli.config]
+        vec![opts.config]
     };
 
     // One session per procedure: the encode and the demonic screen are
@@ -381,34 +380,53 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let mut any_warning = false;
-    let mut json_reports: Vec<&ProcReport> = Vec::new();
-    let mut incidents = Vec::new();
+    // Incidents come first, in procedure order: precondition inference's,
+    // then each procedure's fault or the store-corruption records riding
+    // on an otherwise healthy analysis.
     for outcome in &results {
-        let pa = match outcome {
-            ProcOutcome::Analyzed(pa) => pa,
-            ProcOutcome::Faulted(incident) => {
-                if cli.json {
-                    incidents.push(incident.clone());
-                } else {
-                    println!("procedure {}:", incident.proc_name);
-                    println!("  incident: {incident}");
-                    println!();
-                }
-                continue;
-            }
-        };
-        // Store-corruption incidents ride on an otherwise healthy analysis:
-        // surface them even when the procedure itself is clean.
-        for incident in &pa.incidents {
-            if cli.json {
-                incidents.push(incident.clone());
+        match outcome {
+            ProcOutcome::Faulted(incident) => incidents.push(incident.clone()),
+            ProcOutcome::Analyzed(pa) => incidents.extend(pa.incidents.iter().cloned()),
+        }
+    }
+    if !cli.json {
+        for incident in &incidents {
+            println!("procedure {}:", incident.proc_name);
+            println!("  incident: {incident}");
+            println!();
+        }
+    }
+
+    if cli.triage {
+        let ranked = rank(&results);
+        if ranked.is_empty() {
+            let faulted = results.iter().filter(|o| o.incident().is_some()).count();
+            if faulted == 0 {
+                println!("no warnings: every unproven obligation was suppressed");
             } else {
-                println!("procedure {}:", incident.proc_name);
-                println!("  incident: {incident}");
-                println!();
+                println!("no warnings ranked: {faulted} procedure(s) faulted (incidents above)");
+            }
+            return Ok(false);
+        }
+        println!("{} warning(s), highest confidence first:\n", ranked.len());
+        for r in &ranked {
+            println!(
+                "[{}] {} :: {} ({})",
+                r.confidence, r.proc_name, r.warning.assert, r.warning.tag
+            );
+            if let Some(w) = &r.warning.witness {
+                println!("    witness: {w}");
+            }
+            if let Some(spec) = &r.spec {
+                println!("    almost-correct spec: {spec}");
             }
         }
+        return Ok(true);
+    }
+
+    let mut any_warning = false;
+    let mut json_reports: Vec<&ProcReport> = Vec::new();
+    for pa in results.iter().filter_map(ProcOutcome::analysis) {
         if pa.cons.status == SibStatus::Correct {
             continue;
         }

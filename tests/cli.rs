@@ -171,3 +171,116 @@ fn deep_nesting_is_a_located_usage_error() {
         let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
     }
 }
+
+/// `--triage` runs the same `ProgramAnalysis` as the default path, so it
+/// honours the run flags: a certificate sidecar that checks, a store
+/// whose warm rerun runs no solver query, and a metrics snapshot.
+#[test]
+fn triage_honours_the_run_flags() {
+    let fig1 = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/fig1_double_free/input.acs"),
+    )
+    .expect("fig1");
+    let run = |certs: &str, metrics: &str| {
+        let args = [
+            "--triage",
+            "--certs-out",
+            certs,
+            "--store-dir",
+            "store",
+            "--metrics-out",
+            metrics,
+        ];
+        let (out, input) = acspec_on_source("triage-run-flags", "acs", &fig1, &args);
+        assert_eq!(out.status.code(), Some(1), "fig1 has ranked warnings");
+        (out.stdout, input.parent().expect("temp dir").to_path_buf())
+    };
+    let (cold, dir) = run("cold-certs.json", "cold-metrics.json");
+    for file in ["cold-certs.json", "cold-metrics.json", "store"] {
+        assert!(dir.join(file).exists(), "--triage did not write {file}");
+    }
+    let check = Command::new(env!("CARGO_BIN_EXE_acspec"))
+        .args(["check", "cold-certs.json"])
+        .current_dir(&dir)
+        .output()
+        .expect("acspec check runs");
+    assert_eq!(
+        check.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+
+    let (warm, dir) = run("warm-certs.json", "warm-metrics.json");
+    assert_eq!(cold, warm, "the warm rerun must print the same bytes");
+    let sidecar = |name: &str| std::fs::read(dir.join(name)).expect("sidecar");
+    assert_eq!(sidecar("cold-certs.json"), sidecar("warm-certs.json"));
+    let metrics = std::fs::read_to_string(dir.join("warm-metrics.json")).expect("metrics");
+    let doc = acspec_check::json::parse(&metrics).expect("metrics are JSON");
+    let counter = |name: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.int())
+            .unwrap_or(0)
+    };
+    assert!(counter("store.hits") >= 1, "no store hit:\n{metrics}");
+    assert_eq!(
+        counter("solver.queries"),
+        0,
+        "warm rerun queried:\n{metrics}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Precondition inference and the ranking run behind the same barrier
+/// as the default path: an overflowing constant (a panic) and a call
+/// whose callee's contract does not desugar (an error) are incidents,
+/// not a panic that ends the process (exit 101) or an aborted run
+/// (exit 2).
+#[test]
+fn faults_under_triage_and_interproc_are_incidents() {
+    for (name, source, fault) in [
+        (
+            "overflow",
+            "procedure f(x: int) { assert x != 0 - 9223372036854775807 - 1; }\n",
+            "overflow",
+        ),
+        (
+            "bad-old",
+            "procedure k(x: int) ensures old(x) == 0; { }\nprocedure m() { call k(1); }\n",
+            "desugaring failed",
+        ),
+    ] {
+        for mode in ["--triage", "--interproc"] {
+            let (out, input) = acspec_on_source(&format!("{name}{mode}"), "acs", source, &[mode]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                matches!(out.status.code(), Some(0 | 1)),
+                "{name} {mode} exited {:?}:\n{stdout}{}",
+                out.status.code(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                stdout
+                    .lines()
+                    .any(|l| l.contains("incident") && l.contains(fault)),
+                "{name} {mode} must print an incident naming `{fault}`:\n{stdout}"
+            );
+            let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
+        }
+    }
+}
+
+#[test]
+fn triage_rejects_flags_it_cannot_honour() {
+    for (args, flag) in [
+        (&["--format", "json"][..], "--format json"),
+        (&["--all-configs"], "--all-configs"),
+        (&["--config", "A1"], "--config"),
+        (&["--cons"], "--cons"),
+        (&["--specs"], "--specs"),
+    ] {
+        let args = [&["--triage"][..], args].concat();
+        assert_usage_error(&args, &format!("does not take {flag}"));
+    }
+}

@@ -4,8 +4,8 @@
 
 use acspec_repro::cfront::compile_c;
 use acspec_repro::core::{
-    analyze_procedure, infer_preconditions, triage_program, AcspecOptions, Confidence, ConfigName,
-    DeadMetric, SibStatus,
+    analyze_procedure, infer_preconditions, rank, AcspecOptions, Confidence, ConfigName,
+    DeadMetric, NullObserver, ProgramAnalysis, SibStatus,
 };
 
 const DRIVER: &str = "
@@ -33,7 +33,7 @@ const DRIVER: &str = "
 #[test]
 fn triage_ranks_c_driver_warnings() {
     let program = compile_c(DRIVER).expect("compiles");
-    let ranked = triage_program(&program, &AcspecOptions::default()).expect("triages");
+    let ranked = rank(&ProgramAnalysis::new(&program).run(&mut NullObserver));
     assert!(!ranked.is_empty());
     // The doomed dereference outranks the allocation inconsistency.
     let pos = |name: &str| {
@@ -58,7 +58,7 @@ fn interproc_from_c_source() {
     )
     .expect("compiles");
     let opts = AcspecOptions::default();
-    let inferred = infer_preconditions(&program, &opts).expect("infers");
+    let inferred = infer_preconditions(&program, &opts);
     assert!(inferred.inferred.contains_key("leaf"));
     let caller = inferred.program.procedure("caller").expect("x").clone();
     let r = analyze_procedure(&inferred.program, &caller, &opts).expect("ok");
