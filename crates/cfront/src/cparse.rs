@@ -26,8 +26,12 @@ impl std::fmt::Display for CParseError {
 impl std::error::Error for CParseError {}
 
 /// The deepest nesting of expressions and statements the parser
-/// accepts. Parsing recurses once per level, so without a cap a
-/// pathological input could overflow the stack.
+/// accepts. Parsing recurses once per level, and later passes once per
+/// level of the tree it builds, so without a cap a pathological input
+/// could overflow the stack. Besides brackets, unary operators and
+/// nested statements, each operator of a left-deep chain (`x + x + x`,
+/// `a && b && c`, `p->f->f`) is a level: it sinks the whole chain so far
+/// one level deeper.
 const MAX_DEPTH: usize = 256;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +131,9 @@ struct P {
     pos: usize,
     /// Nesting level of the expression or statement being parsed.
     depth: usize,
+    /// The deepest level the innermost operator chain being parsed
+    /// reaches so far (see [`P::chain`]).
+    peak: usize,
 }
 
 impl P {
@@ -150,18 +157,48 @@ impl P {
         }
     }
 
+    fn too_deep(&self) -> CParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
     /// Parses one level deeper, refusing to go past [`MAX_DEPTH`].
     fn nested<T>(
         &mut self,
         f: impl FnOnce(&mut P) -> Result<T, CParseError>,
     ) -> Result<T, CParseError> {
         if self.depth == MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let out = f(self);
         self.depth -= 1;
         out
+    }
+
+    /// Parses a left-deep operator chain with `f`, which calls
+    /// [`P::sink`] at each operator. The chain's peak level starts at
+    /// the current depth and, once the chain is built, counts toward any
+    /// chain it is an operand of.
+    fn chain<T>(
+        &mut self,
+        f: impl FnOnce(&mut P) -> Result<T, CParseError>,
+    ) -> Result<T, CParseError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let out = f(self);
+        self.peak = self.peak.max(outer);
+        out
+    }
+
+    /// One more operator of a chain: the chain built so far becomes its
+    /// left operand, one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn sink(&mut self) -> Result<(), CParseError> {
+        if self.peak == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.peak += 1;
+        Ok(())
     }
 
     fn bump(&mut self) -> Tok {
@@ -603,22 +640,30 @@ impl P {
         self.parse_or()
     }
 
+    /// A left-deep chain of the binary operators `ops` over operands
+    /// that `operand` parses.
+    fn binary_chain(
+        &mut self,
+        ops: &[(&'static str, CBinOp)],
+        operand: fn(&mut P) -> Result<CExpr, CParseError>,
+    ) -> Result<CExpr, CParseError> {
+        self.chain(|p| {
+            let mut lhs = operand(p)?;
+            while let Some(&(_, op)) = ops.iter().find(|&&(tok, _)| p.try_eat(tok)) {
+                p.sink()?;
+                let rhs = operand(p)?;
+                lhs = CExpr::Bin(op, Box::new(lhs), Box::new(rhs));
+            }
+            Ok(lhs)
+        })
+    }
+
     fn parse_or(&mut self) -> Result<CExpr, CParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.try_eat("||") {
-            let rhs = self.parse_and()?;
-            lhs = CExpr::Bin(CBinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(&[("||", CBinOp::Or)], P::parse_and)
     }
 
     fn parse_and(&mut self) -> Result<CExpr, CParseError> {
-        let mut lhs = self.parse_cmp()?;
-        while self.try_eat("&&") {
-            let rhs = self.parse_cmp()?;
-            lhs = CExpr::Bin(CBinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(&[("&&", CBinOp::And)], P::parse_cmp)
     }
 
     fn parse_cmp(&mut self) -> Result<CExpr, CParseError> {
@@ -642,28 +687,11 @@ impl P {
     }
 
     fn parse_add(&mut self) -> Result<CExpr, CParseError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            if self.try_eat("+") {
-                let rhs = self.parse_mul()?;
-                lhs = CExpr::Bin(CBinOp::Add, Box::new(lhs), Box::new(rhs));
-            } else if self.try_eat("-") {
-                let rhs = self.parse_mul()?;
-                lhs = CExpr::Bin(CBinOp::Sub, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.binary_chain(&[("+", CBinOp::Add), ("-", CBinOp::Sub)], P::parse_mul)
     }
 
     fn parse_mul(&mut self) -> Result<CExpr, CParseError> {
-        let mut lhs = self.parse_unary()?;
-        while self.peek() == &Tok::Punct("*") {
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = CExpr::Bin(CBinOp::Mul, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(&[("*", CBinOp::Mul)], P::parse_unary)
     }
 
     fn parse_unary(&mut self) -> Result<CExpr, CParseError> {
@@ -682,46 +710,51 @@ impl P {
     }
 
     fn parse_postfix(&mut self) -> Result<CExpr, CParseError> {
-        let mut e = self.parse_primary()?;
-        loop {
-            if self.try_eat("->") {
-                let line = self.line();
-                let f = self.ident()?;
-                e = CExpr::Arrow(Box::new(e), f, line);
-            } else if self.try_eat(".") {
-                // `(*p).f` ≡ `p->f`, and `a[i].f` on an array of structs
-                // is field access at the element address `a + i`;
-                // by-value struct access is otherwise outside the subset.
-                let (line, col) = (self.line(), self.col());
-                let f = self.ident()?;
-                match e {
-                    CExpr::Deref(inner, _) => {
-                        e = CExpr::Arrow(inner, f, line);
+        self.chain(|p| {
+            let mut e = p.parse_primary()?;
+            loop {
+                if p.try_eat("->") {
+                    p.sink()?;
+                    let line = p.line();
+                    let f = p.ident()?;
+                    e = CExpr::Arrow(Box::new(e), f, line);
+                } else if p.try_eat(".") {
+                    p.sink()?;
+                    // `(*p).f` ≡ `p->f`, and `a[i].f` on an array of structs
+                    // is field access at the element address `a + i`;
+                    // by-value struct access is otherwise outside the subset.
+                    let (line, col) = (p.line(), p.col());
+                    let f = p.ident()?;
+                    match e {
+                        CExpr::Deref(inner, _) => {
+                            e = CExpr::Arrow(inner, f, line);
+                        }
+                        CExpr::Index(base, idx, _) => {
+                            e = CExpr::Arrow(Box::new(CExpr::Bin(CBinOp::Add, base, idx)), f, line);
+                        }
+                        other => {
+                            return Err(CParseError {
+                                msg: format!(
+                                    "`.` is only supported as `(*p).field` or `a[i].field`, \
+                                     got {other:?}"
+                                ),
+                                line,
+                                col,
+                            })
+                        }
                     }
-                    CExpr::Index(base, idx, _) => {
-                        e = CExpr::Arrow(Box::new(CExpr::Bin(CBinOp::Add, base, idx)), f, line);
-                    }
-                    other => {
-                        return Err(CParseError {
-                            msg: format!(
-                                "`.` is only supported as `(*p).field` or `a[i].field`, \
-                                 got {other:?}"
-                            ),
-                            line,
-                            col,
-                        })
-                    }
+                } else if p.peek() == &Tok::Punct("[") {
+                    let line = p.line();
+                    p.bump();
+                    p.sink()?;
+                    let idx = p.nested(P::parse_expr)?;
+                    p.eat("]")?;
+                    e = CExpr::Index(Box::new(e), Box::new(idx), line);
+                } else {
+                    return Ok(e);
                 }
-            } else if self.peek() == &Tok::Punct("[") {
-                let line = self.line();
-                self.bump();
-                let idx = self.nested(P::parse_expr)?;
-                self.eat("]")?;
-                e = CExpr::Index(Box::new(e), Box::new(idx), line);
-            } else {
-                return Ok(e);
             }
-        }
+        })
     }
 
     fn parse_primary(&mut self) -> Result<CExpr, CParseError> {
@@ -801,6 +834,7 @@ pub fn parse_c(src: &str) -> Result<CProgram, CParseError> {
         toks,
         pos: 0,
         depth: 0,
+        peak: 0,
     };
     p.parse_program()
 }
@@ -898,5 +932,26 @@ mod tests {
     fn error_on_garbage() {
         assert!(parse_c("int f( {").is_err());
         assert!(parse_c("@").is_err());
+    }
+
+    /// Each operator of a left-deep chain is a nesting level, and a
+    /// chain inside a chain's operand counts toward the outer chain.
+    #[test]
+    fn operator_chains_count_as_levels() {
+        let body = |e: &str| format!("int f(int x, int *a) {{ return {e}; }}");
+        let chain = |terms: usize, op: &str| vec!["x"; terms].join(op);
+        for op in [" + ", " * ", " && ", " || "] {
+            assert!(parse_c(&body(&chain(257, op))).is_ok(), "256 `{op}`");
+            let deep = parse_c(&body(&chain(258, op))).expect_err("257 operators");
+            assert!(deep.msg.contains("nesting deeper than 256"), "{}", deep.msg);
+        }
+        assert!(parse_c(&body(&format!("a{}", "[0]".repeat(300)))).is_err());
+        // Each chain stays under the cap, but the tree they nest into
+        // is 20 * 20 levels deep.
+        let mut nested = "x".to_string();
+        for _ in 0..20 {
+            nested = format!("({nested}{})", " && x".repeat(20));
+        }
+        assert!(parse_c(&body(&nested)).is_err());
     }
 }

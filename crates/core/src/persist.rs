@@ -73,8 +73,10 @@ use crate::session::ProcAnalysis;
 /// unaddressable *and* undecodable, so stale stores degrade to misses,
 /// never to misreads. History: `2` — stored certificate fragments use
 /// the schema-4 sidecar layout (one shared proof log per procedure);
-/// `3` — payloads no longer carry the query cache's antichains.
-pub const PERSIST_VERSION: u32 = 3;
+/// `3` — payloads no longer carry the query cache's antichains; `4` —
+/// report stats fold the session's stage events, so entries holding the
+/// older figures miss once.
+pub const PERSIST_VERSION: u32 = 4;
 
 /// The content-addressed key of one procedure's entry: SHA-256 over the
 /// procedure fingerprint and the options digest.

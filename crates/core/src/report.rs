@@ -242,8 +242,8 @@ pub struct ProcStats {
     /// Per-stage wall-clock/query breakdown (encode through evaluate).
     pub stages: StageTable,
     /// Aggregate SAT/theory work counters (conflicts, decisions,
-    /// propagations, theory conflicts) for this report's queries —
-    /// shared stages plus the configuration's delta, like `stages`.
+    /// propagations, theory conflicts) summed over the queries that
+    /// `solver_queries` counts, from the same stage runs as `stages`.
     pub smt: SolverCounters,
 }
 

@@ -5,7 +5,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use acspec_ir::locs::LocId;
 use acspec_smt::TermId;
-use acspec_vcgen::analyzer::{ProcAnalyzer, Selector, Timeout};
+use acspec_vcgen::analyzer::{ProcAnalyzer, Selector};
+use acspec_vcgen::FaultReason;
 
 /// How "creates dead code" is decided during the search (§2.3: the
 /// definition of `Dead` is a parameter). Baselines are computed under
@@ -140,7 +141,7 @@ impl SubsetEval<'_> {
     /// `WP(pr) ≡ ∅` as the special SIB case where `Dead` contains every
     /// statement (§3.1), which matters for straight-line procedures with
     /// no tracked branch locations.
-    fn has_dead(&mut self, subset: &BTreeSet<u32>) -> Result<bool, Timeout> {
+    fn has_dead(&mut self, subset: &BTreeSet<u32>) -> Result<bool, FaultReason> {
         let key: Vec<u32> = subset.iter().copied().collect();
         if let Some(&v) = self.dead_memo.get(&key) {
             return Ok(v);
@@ -206,7 +207,7 @@ impl SubsetEval<'_> {
     /// `|Fail(⋀subset)|`, stopping early once the count exceeds `cap`.
     /// Values above `cap` are reported as `cap + 1` and not memoized
     /// exactly (the partial count becomes a lattice lower bound).
-    fn fail_count(&mut self, subset: &BTreeSet<u32>, cap: usize) -> Result<usize, Timeout> {
+    fn fail_count(&mut self, subset: &BTreeSet<u32>, cap: usize) -> Result<usize, FaultReason> {
         let key: Vec<u32> = subset.iter().copied().collect();
         if let Some(&v) = self.fail_memo.get(&key) {
             return Ok(v);
@@ -249,26 +250,20 @@ impl SubsetEval<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`Timeout`] if the analyzer budget or `max_nodes` is
-/// exhausted.
+/// Returns the [`FaultReason`] if a query gave up, or
+/// [`FaultReason::Cap`] past `max_nodes` visited subsets.
 pub fn find_almost_correct_specs(
     az: &mut ProcAnalyzer,
     selectors: &[Selector],
     baseline_dead: &BTreeSet<LocId>,
     max_nodes: usize,
-) -> Result<SearchOutcome, Timeout> {
+) -> Result<SearchOutcome, FaultReason> {
     let check = DeadCheck::Branch {
         baseline_dead: baseline_dead.clone(),
     };
     find_almost_correct_specs_with(az, selectors, &check, max_nodes, None)
 }
 
-/// Runs Algorithm 2 under an explicit [`DeadCheck`] metric.
-///
-/// # Errors
-///
-/// Returns [`Timeout`] if the analyzer budget or `max_nodes` is
-/// exhausted.
 /// Decides `⋀a ⇒ ⋀b` for clause subsets via the solver, given each
 /// clause's body term.
 fn subset_implies(
@@ -277,7 +272,7 @@ fn subset_implies(
     bodies: &[TermId],
     a: &BTreeSet<u32>,
     b: &BTreeSet<u32>,
-) -> Result<bool, Timeout> {
+) -> Result<bool, FaultReason> {
     if b.is_subset(a) {
         return Ok(true); // syntactic: more clauses is stronger
     }
@@ -300,15 +295,15 @@ fn subset_implies(
 ///
 /// # Errors
 ///
-/// Returns [`Timeout`] if the analyzer budget or `max_nodes` is
-/// exhausted.
+/// Returns the [`FaultReason`] if a query gave up, or
+/// [`FaultReason::Cap`] past `max_nodes` visited subsets.
 pub fn find_almost_correct_specs_with(
     az: &mut ProcAnalyzer,
     selectors: &[Selector],
     dead_check: &DeadCheck,
     max_nodes: usize,
     clause_bodies: Option<&[TermId]>,
-) -> Result<SearchOutcome, Timeout> {
+) -> Result<SearchOutcome, FaultReason> {
     find_almost_correct_specs_salvaging(
         az,
         selectors,
@@ -331,8 +326,9 @@ pub fn find_almost_correct_specs_with(
 ///
 /// # Errors
 ///
-/// Returns [`Timeout`] if the analyzer budget, deadline, or `max_nodes`
-/// is exhausted.
+/// Returns the [`FaultReason`] if a query gave up (budget, deadline or
+/// an injected fault), or [`FaultReason::Cap`] past `max_nodes` visited
+/// subsets.
 pub fn find_almost_correct_specs_salvaging(
     az: &mut ProcAnalyzer,
     selectors: &[Selector],
@@ -340,7 +336,7 @@ pub fn find_almost_correct_specs_salvaging(
     max_nodes: usize,
     clause_bodies: Option<&[TermId]>,
     salvage: &mut Option<SearchOutcome>,
-) -> Result<SearchOutcome, Timeout> {
+) -> Result<SearchOutcome, FaultReason> {
     let locs = az.locations();
     let asserts = az.assertions();
     let n_asserts = asserts.len();
@@ -387,7 +383,7 @@ pub fn find_almost_correct_specs_salvaging(
     let mut parents: HashMap<Vec<u32>, (Vec<u32>, u32)> = HashMap::new();
 
     // On any abort below, snapshot the best-so-far output into the
-    // caller's salvage slot and propagate the timeout.
+    // caller's salvage slot and propagate the fault.
     macro_rules! abort_salvaging {
         ($t:expr, $output:expr, $min_fail:expr, $nodes:expr) => {{
             let mut best: Vec<BTreeSet<u32>> = $output.clone();
@@ -425,8 +421,7 @@ pub fn find_almost_correct_specs_salvaging(
             );
             nodes_visited += 1;
             if nodes_visited > max_nodes {
-                eval.az.note_cap_fault();
-                abort_salvaging!(Timeout, output, min_fail, nodes_visited);
+                abort_salvaging!(FaultReason::Cap, output, min_fail, nodes_visited);
             }
             // Lines 17–19: MinFail can only decrease.
             let fail = match eval.fail_count(&c2, min_fail) {

@@ -38,9 +38,10 @@
 //! ## Observers
 //!
 //! Every completed stage appends a [`StageEvent`] (stage, configuration
-//! label, wall-clock seconds, query count) to the session's event log.
-//! [`ProgramAnalysis`] replays the logs to a [`SessionObserver`] in
-//! procedure order after its parallel fan-out, so observer output is
+//! label, wall-clock seconds, query and work counts) to the session's
+//! event log. The log is the session's one ledger: each report's stats
+//! fold it, and [`ProgramAnalysis`] replays it to a [`SessionObserver`]
+//! in procedure order after its parallel fan-out, so observer output is
 //! deterministic regardless of thread count.
 
 use std::cell::Cell;
@@ -129,6 +130,9 @@ pub struct StageEvent {
     pub seq: u32,
     /// Wall-clock seconds and query count of this stage run.
     pub metrics: StageMetrics,
+    /// SAT/theory work counters summed over this stage run's queries
+    /// (the sum of their [`QueryEvent::counters`]).
+    pub smt: SolverCounters,
     /// Dominance-cache counter deltas for this stage run (all zero when
     /// the query cache is disabled). Kept out of [`StageMetrics`] — and
     /// hence out of report stats — because cache activity is telemetry,
@@ -337,11 +341,7 @@ pub struct ProcSession {
     az: ProcAnalyzer,
     demonic_fail: Option<BTreeSet<AssertId>>,
     dead_baseline: Option<(DeadMetric, DeadCheck)>,
-    /// Snapshot of the shared stages (encode + screen) included in every
-    /// report's stage table.
-    shared: StageTable,
-    /// Solver-counter deltas of the shared stages, mirroring `shared`.
-    shared_smt: SolverCounters,
+    /// The ledger: one event per stage run, in execution order.
     events: Vec<StageEvent>,
     /// Next [`StageEvent::seq`] (0 was the encode event).
     stage_seq: u32,
@@ -384,21 +384,21 @@ impl ProcSession {
         if let Some(chaos) = analyzer.chaos {
             analyzer.chaos = Some(chaos.for_proc(&proc.name));
         }
-        let desugar_start = Instant::now();
+        let wall = Instant::now();
         let desugared = desugar_procedure(program, proc, DesugarOptions::default())?;
-        let desugar_seconds = desugar_start.elapsed().as_secs_f64();
-        let mut az = ProcAnalyzer::new(&desugared, analyzer)?;
-        az.record_external(Stage::Encode, desugar_seconds);
-
-        let encode = az.stage_stats().get(Stage::Encode);
-        let mut shared = StageTable::default();
-        shared.record(Stage::Encode, encode.seconds, encode.queries);
+        let az = ProcAnalyzer::new(&desugared, analyzer)?;
+        // The one stage run before the session exists, so recorded
+        // here rather than by `staged`: it issues no queries.
         let events = vec![StageEvent {
             proc_name: proc.name.clone(),
             label: None,
             stage: Stage::Encode,
             seq: 0,
-            metrics: encode,
+            metrics: StageMetrics {
+                seconds: wall.elapsed().as_secs_f64(),
+                queries: 0,
+            },
+            smt: SolverCounters::default(),
             cache: CacheStats::default(),
             chaos: ChaosStats::default(),
             terms: az.term_stats(),
@@ -409,8 +409,6 @@ impl ProcSession {
             az,
             demonic_fail: None,
             dead_baseline: None,
-            shared,
-            shared_smt: SolverCounters::default(),
             events,
             stage_seq: 1,
             query_events: Vec::new(),
@@ -482,6 +480,9 @@ impl ProcSession {
     pub fn set_pool(&mut self, _pool: std::sync::Arc<acspec_smt::SearchPool>) {}
 
     /// Drains the event log (stage completions in execution order).
+    /// Report stats fold this log, so take it once the session's last
+    /// report is out: a report stamped afterwards no longer counts the
+    /// drained runs.
     pub fn take_events(&mut self) -> Vec<StageEvent> {
         std::mem::take(&mut self.events)
     }
@@ -495,77 +496,64 @@ impl ProcSession {
         std::mem::take(&mut self.query_events)
     }
 
-    /// Runs `f` attributed to `stage`: solver time/queries are recorded
-    /// by the analyzer, and the wall-clock remainder (mining, clause
-    /// bookkeeping) is added via
-    /// [`ProcAnalyzer::record_external`], so stage tables reflect real
-    /// elapsed time. Appends a [`StageEvent`] and returns `f`'s result
-    /// with the stage's delta.
+    /// The one ledger: runs `f` as one run of `stage` for `label` and
+    /// appends its [`StageEvent`]. The run's wall time is measured here;
+    /// its query, SMT, cache, chaos and term-arena figures are the
+    /// deltas of the analyzer's running totals across `f`; its query
+    /// records are tagged with the run; and a fault becomes a
+    /// [`StageError`] naming `stage`.
     fn staged<T>(
         &mut self,
         stage: Stage,
         label: Option<ReportLabel>,
-        f: impl FnOnce(&mut ProcSession) -> T,
-    ) -> (T, StageMetrics) {
+        f: impl FnOnce(&mut ProcSession) -> Result<T, FaultReason>,
+    ) -> Result<T, StageError> {
         CURRENT_STAGE.with(|c| c.set(Some(stage)));
-        self.az.set_stage(stage);
         let wall = Instant::now();
-        let before = self.az.stage_stats().get(stage);
-        let smt_before = self.az.solver_counters();
-        let cache_before = self.az.cache_stats();
-        let chaos_before = self.az.chaos_stats();
-        let terms_before = self.az.term_stats();
+        let queries = self.az.queries;
+        let smt = self.az.query_counters();
+        let cache = self.az.cache_stats();
+        let chaos = self.az.chaos_stats();
+        let terms = self.az.term_stats();
         let out = f(self);
-        let query_seconds = self.az.stage_stats().get(stage).seconds - before.seconds;
-        let external = (wall.elapsed().as_secs_f64() - query_seconds).max(0.0);
-        self.az.record_external(stage, external);
-        let after = self.az.stage_stats().get(stage);
-        let metrics = StageMetrics {
-            seconds: after.seconds - before.seconds,
-            queries: after.queries - before.queries,
-        };
+        let seconds = wall.elapsed().as_secs_f64();
         let seq = self.stage_seq;
         self.stage_seq += 1;
-        if label.is_none() {
-            // Shared stages contribute their whole counter delta to the
-            // shared-SMT snapshot (mirroring `self.shared`), whether or
-            // not per-query records are being kept.
-            let delta = self.az.solver_counters().since(&smt_before);
-            self.shared_smt.add(&delta);
-        }
-        if self.az.query_recording() {
-            for q in self.az.take_query_records() {
-                self.query_events.push(QueryEvent {
-                    proc_name: self.proc_name.clone(),
-                    label,
-                    stage: q.stage,
-                    stage_seq: seq,
-                    seq: q.seq,
-                    outcome: q.outcome,
-                    seconds: q.seconds,
-                    counters: q.counters,
-                    search: q.search,
-                });
-            }
+        for q in self.az.take_query_records() {
+            self.query_events.push(QueryEvent {
+                proc_name: self.proc_name.clone(),
+                label,
+                stage,
+                stage_seq: seq,
+                seq: q.seq,
+                outcome: q.outcome,
+                seconds: q.seconds,
+                counters: q.counters,
+                search: q.search,
+            });
         }
         self.events.push(StageEvent {
             proc_name: self.proc_name.clone(),
             label,
             stage,
             seq,
-            metrics,
-            cache: self.az.cache_stats().since(&cache_before),
-            chaos: self.az.chaos_stats().since(&chaos_before),
-            terms: self.az.term_stats().since(&terms_before),
+            metrics: StageMetrics {
+                seconds,
+                queries: self.az.queries - queries,
+            },
+            smt: self.az.query_counters().since(&smt),
+            cache: self.az.cache_stats().since(&cache),
+            chaos: self.az.chaos_stats().since(&chaos),
+            terms: self.az.term_stats().since(&terms),
         });
-        (out, metrics)
+        out.map_err(|reason| StageError { stage, reason })
     }
 
     fn ensure_dead_baseline(&mut self, metric: DeadMetric) -> Result<(), StageError> {
         if matches!(&self.dead_baseline, Some((m, _)) if *m == metric) {
             return Ok(());
         }
-        let (result, metrics) = self.staged(Stage::Screen, None, |s| match metric {
+        let check = self.staged(Stage::Screen, None, |s| match metric {
             DeadMetric::BranchCoverage => {
                 s.az.dead_set(&[])
                     .map(|baseline_dead| DeadCheck::Branch { baseline_dead })
@@ -577,13 +565,7 @@ impl ProcSession {
                         cap: max_profiles,
                     })
             }
-        });
-        self.shared
-            .record(Stage::Screen, metrics.seconds, metrics.queries);
-        let check = match result {
-            Ok(c) => c,
-            Err(_) => return Err(self.az.stage_error(Stage::Screen)),
-        };
+        })?;
         if self.certify {
             if let DeadCheck::Branch { baseline_dead } = &check {
                 let locs: Vec<_> = baseline_dead.iter().copied().collect();
@@ -606,13 +588,7 @@ impl ProcSession {
         if self.demonic_fail.is_some() {
             return Ok(());
         }
-        let (result, metrics) = self.staged(Stage::Screen, None, |s| s.az.fail_set(&[]));
-        self.shared
-            .record(Stage::Screen, metrics.seconds, metrics.queries);
-        self.demonic_fail = Some(match result {
-            Ok(fails) => fails,
-            Err(_) => return Err(self.az.stage_error(Stage::Screen)),
-        });
+        self.demonic_fail = Some(self.staged(Stage::Screen, None, |s| s.az.fail_set(&[]))?);
         Ok(())
     }
 
@@ -670,22 +646,21 @@ impl ProcSession {
         }
     }
 
-    /// Stamps a report's stage table, query count, and SMT work
-    /// counters: the shared encode/screen snapshot plus this
-    /// configuration's delta since the run baselines.
-    fn stamp_stats(
-        &self,
-        report: &mut ProcReport,
-        run_baseline: &StageTable,
-        smt_baseline: &SolverCounters,
-    ) {
-        let mut stages = self.shared;
-        stages.merge(&self.az.stage_stats().since(run_baseline));
-        report.stats.solver_queries = stages.total_queries();
-        report.stats.stages = stages;
-        let mut smt = self.shared_smt;
-        smt.add(&self.az.solver_counters().since(smt_baseline));
-        report.stats.smt = smt;
+    /// Stamps a report's stats by folding the ledger: every shared run
+    /// (label `None`) plus every run of the report's own configuration
+    /// from event `first` on, each counted once.
+    fn stamp_stats(&self, report: &mut ProcReport, first: usize) {
+        let own = Some(report.config);
+        let stats = &mut report.stats;
+        for (i, e) in self.events.iter().enumerate() {
+            if e.label.is_none() || (i >= first && e.label == own) {
+                stats
+                    .stages
+                    .record(e.stage, e.metrics.seconds, e.metrics.queries);
+                stats.smt.add(&e.smt);
+            }
+        }
+        stats.solver_queries = stats.stages.total_queries();
     }
 
     /// The `Cons` baseline: the demonic half of the shared screen,
@@ -694,8 +669,7 @@ impl ProcSession {
     /// queries).
     pub fn cons(&mut self) -> ProcReport {
         self.az.refill_budget();
-        let run_baseline = self.az.stage_stats();
-        let smt_baseline = self.az.solver_counters();
+        let first = self.events.len();
         let mut seed = ReportSeed::default();
         let mut warnings = Vec::new();
         match self.ensure_demonic_fail() {
@@ -723,7 +697,7 @@ impl ProcSession {
         }
         let mut report = self.blank_report(ReportLabel::Cons, &seed);
         report.warnings = warnings;
-        self.stamp_stats(&mut report, &run_baseline, &smt_baseline);
+        self.stamp_stats(&mut report, first);
         report
     }
 
@@ -740,9 +714,13 @@ impl ProcSession {
             // pairs, so later configs replay the substitution/atom
             // memos instead of recomputing.
             let ProcSession { az, desugared, .. } = s;
-            mine_predicates_interned(az.arena_mut(), desugared, abstraction)
+            Ok(mine_predicates_interned(
+                az.arena_mut(),
+                desugared,
+                abstraction,
+            ))
         })
-        .0
+        .expect("mining issues no queries")
     }
 
     /// The `Cover` stage: the predicate cover `β_Q(wp)` via ALL-SAT
@@ -761,8 +739,6 @@ impl ProcSession {
             s.cover_salvage = salvage;
             out
         })
-        .0
-        .map_err(|_| self.az.stage_error(Stage::Cover))
     }
 
     /// The `Search` stage: Algorithm 2's greedy weakening over the
@@ -803,8 +779,6 @@ impl ProcSession {
             s.search_salvage = salvage;
             out
         })
-        .0
-        .map_err(|_| self.az.stage_error(Stage::Search))
     }
 
     /// Normalizes each output specification of the search once
@@ -820,7 +794,7 @@ impl ProcSession {
         let label = Some(ReportLabel::Config(opts.config));
         let apply = opts.apply_normalize;
         self.staged(Stage::Evaluate, label, |s| {
-            search
+            Ok(search
                 .specs
                 .iter()
                 .map(|subset| {
@@ -836,9 +810,9 @@ impl ProcSession {
                         clauses
                     }
                 })
-                .collect()
+                .collect())
         })
-        .0
+        .expect("a failed normal form falls back to the syntactic one")
     }
 
     /// The `Evaluate` stage for one prune variant: prunes each
@@ -892,8 +866,11 @@ impl ProcSession {
                             completed.push((pruned, spec_formula, fails.clone()));
                             warned.extend(fails);
                         }
-                        Err(_) => {
-                            timeout = Some(s.az.stage_error(Stage::Evaluate));
+                        Err(reason) => {
+                            timeout = Some(StageError {
+                                stage: Stage::Evaluate,
+                                reason,
+                            });
                             break;
                         }
                     }
@@ -906,13 +883,13 @@ impl ProcSession {
                         witness: witnesses.remove(&id),
                     })
                     .collect();
-                Evaluation {
+                Ok(Evaluation {
                     specs,
                     warnings,
                     timeout,
-                }
+                })
             })
-            .0;
+            .expect("a failed evaluation keeps its partial warnings");
         if self.certify {
             self.certify_specs(ReportLabel::Config(opts.config), cover, &completed);
         }
@@ -939,6 +916,7 @@ impl ProcSession {
         };
         let n = variants.len();
         self.az.refill_budget();
+        let first = self.events.len();
         let mut seed = ReportSeed::default();
 
         // Shared screen (cached after the first configuration): dead
@@ -946,28 +924,25 @@ impl ProcSession {
         // driver's query order.
         let screening = match self.screen(opts.dead_metric) {
             Ok(s) => s,
-            Err(e) => return self.degrade_reports(label, seed, e, n),
+            Err(e) => return self.degrade_reports(label, seed, e, n, first),
         };
-        let run_baseline = self.az.stage_stats();
-        let smt_baseline = self.az.solver_counters();
 
         // The conservative screen: no demonic failures ⇒ correct; the
         // paper excludes such procedures from all statistics.
         if screening.demonic_fail.is_empty() {
             seed.status = SibStatus::Correct;
-            return self.finish_reports(label, seed, n, &run_baseline, &smt_baseline);
+            return self.finish_reports(label, seed, n, first);
         }
 
         // Mine Q; oversized vocabularies time out (ALL-SAT is 2^|Q|).
         let q = self.mine(opts);
         seed.n_predicates = q.len();
         if q.len() > MAX_PREDICATES {
-            self.az.note_cap_fault();
             let e = StageError {
                 stage: Stage::Mine,
                 reason: FaultReason::Cap,
             };
-            return self.degrade_reports(label, seed, e, n);
+            return self.degrade_reports(label, seed, e, n, first);
         }
 
         let cover = match self.cover(opts, &q) {
@@ -977,10 +952,10 @@ impl ProcSession {
                 // sound) screen than β_Q(wp) — evaluate it directly.
                 if let Some(partial) = self.cover_salvage.take() {
                     if !partial.clauses.is_empty() {
-                        return self.degraded_cover_reports(label, seed, e, n, &partial);
+                        return self.degraded_cover_reports(label, seed, e, n, &partial, first);
                     }
                 }
-                return self.degrade_reports(label, seed, e, n);
+                return self.degrade_reports(label, seed, e, n, first);
             }
         };
         seed.n_cover_clauses = cover.clauses.len();
@@ -994,7 +969,7 @@ impl ProcSession {
             Ok(s) => (s, None),
             Err(e) => match self.search_salvage.take() {
                 Some(best) => (best, Some(e.stage)),
-                None => return self.degrade_reports(label, seed, e, n),
+                None => return self.degrade_reports(label, seed, e, n, first),
             },
         };
         seed.search_nodes = search.nodes_visited;
@@ -1037,7 +1012,7 @@ impl ProcSession {
                     r.timeout_stage = Some(e.stage);
                 }
             }
-            self.stamp_stats(&mut r, &run_baseline, &smt_baseline);
+            self.stamp_stats(&mut r, first);
             out.push(r);
         }
         out
@@ -1047,17 +1022,17 @@ impl ProcSession {
     /// back to the shared `Cons` screen when the demonic failure set is
     /// available (`Degraded`/`ConsScreen` with the demonic warnings), or
     /// to a plain `TimedOut` when the fault hit before the screen
-    /// finished and there is nothing to salvage.
+    /// finished and there is nothing to salvage. The run's stage events
+    /// start at event `first`.
     fn degrade_reports(
         &mut self,
         label: ReportLabel,
         mut seed: ReportSeed,
         error: StageError,
         n: usize,
+        first: usize,
     ) -> Vec<ProcReport> {
         seed.timeout_stage = Some(error.stage);
-        let baseline = self.az.stage_stats();
-        let smt_baseline = self.az.solver_counters();
         match self.demonic_fail.clone() {
             Some(fails) if !fails.is_empty() => {
                 seed.outcome = AnalysisOutcome::Degraded {
@@ -1076,14 +1051,14 @@ impl ProcSession {
                     .map(|_| {
                         let mut r = self.blank_report(label, &seed);
                         r.warnings = warnings.clone();
-                        self.stamp_stats(&mut r, &baseline, &smt_baseline);
+                        self.stamp_stats(&mut r, first);
                         r
                     })
                     .collect()
             }
             _ => {
                 seed.outcome = AnalysisOutcome::TimedOut;
-                self.finish_reports(label, seed, n, &baseline, &smt_baseline)
+                self.finish_reports(label, seed, n, first)
             }
         }
     }
@@ -1099,6 +1074,7 @@ impl ProcSession {
         error: StageError,
         n: usize,
         partial: &Cover,
+        first: usize,
     ) -> Vec<ProcReport> {
         seed.n_cover_clauses = partial.clauses.len();
         seed.timeout_stage = Some(error.stage);
@@ -1111,8 +1087,6 @@ impl ProcSession {
             // feasible, but no exhaustion claim is made.
             self.certify_cover(label, partial, false);
         }
-        let baseline = self.az.stage_stats();
-        let smt_baseline = self.az.solver_counters();
         let spec = clauses_to_formula(&normalize(&partial.clauses), &partial.preds);
         let warnings: Vec<Warning> = self
             .demonic_fail
@@ -1130,7 +1104,7 @@ impl ProcSession {
                 let mut r = self.blank_report(label, &seed);
                 r.specs = vec![spec.clone()];
                 r.warnings = warnings.clone();
-                self.stamp_stats(&mut r, &baseline, &smt_baseline);
+                self.stamp_stats(&mut r, first);
                 r
             })
             .collect()
@@ -1143,13 +1117,12 @@ impl ProcSession {
         label: ReportLabel,
         seed: ReportSeed,
         n: usize,
-        run_baseline: &StageTable,
-        smt_baseline: &SolverCounters,
+        first: usize,
     ) -> Vec<ProcReport> {
         (0..n)
             .map(|_| {
                 let mut r = self.blank_report(label, &seed);
-                self.stamp_stats(&mut r, run_baseline, smt_baseline);
+                self.stamp_stats(&mut r, first);
                 r
             })
             .collect()
@@ -1776,9 +1749,6 @@ impl<'p> ProgramAnalysis<'p> {
                             cursor += 1;
                         }
                         observer.stage_completed(event);
-                    }
-                    for query in &pa.queries[cursor..] {
-                        observer.query_completed(query);
                     }
                     for r in std::iter::once(&pa.cons).chain(pa.reports.iter().flatten()) {
                         if let AnalysisOutcome::Degraded {

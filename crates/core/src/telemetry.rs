@@ -293,24 +293,10 @@ impl SessionObserver for TelemetryObserver {
     }
 
     fn proc_completed(&mut self, proc_name: &str) {
-        let mut pt = self
+        let pt = self
             .current
             .take()
             .unwrap_or_else(|| ProcTrace::new(proc_name));
-        // Stragglers (queries with no matching stage event) attach to
-        // the procedure span so they are never dropped.
-        let root = pt.root;
-        for q in std::mem::take(&mut pt.pending) {
-            pt.buf.push_event(
-                root,
-                "solver_query",
-                vec![
-                    ("seq", u64::from(q.seq).into()),
-                    ("outcome", q.outcome.name().into()),
-                ],
-                q.seconds,
-            );
-        }
         self.bufs.push(pt.buf);
         self.metrics.inc("procs", 1);
     }

@@ -180,9 +180,15 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
 
 /// The deepest nesting of expressions and statements the parser
 /// accepts, as for certificate JSON in `acspec-check`. Parsing recurses
-/// once per level, so without a cap a pathological input could overflow
-/// the stack.
+/// once per level, and later passes once per level of the tree it
+/// builds, so without a cap a pathological input could overflow the
+/// stack. Besides brackets, unary operators and nested statements, each
+/// operator of a left-deep chain (`x + x + x`, `m[0][0]`) is a level:
+/// it sinks the whole chain so far one level deeper.
 const MAX_DEPTH: usize = 256;
+
+/// Builds a binary operator's node from its two operands.
+type BinaryNode = fn(Box<Expr>, Box<Expr>) -> Expr;
 
 struct Parser {
     toks: Vec<SpannedTok>,
@@ -190,6 +196,9 @@ struct Parser {
     next_site: u32,
     /// Nesting level of the expression or statement being parsed.
     depth: usize,
+    /// The deepest level the innermost operator chain being parsed
+    /// reaches so far (see [`Parser::chain`]).
+    peak: usize,
 }
 
 impl Parser {
@@ -216,18 +225,48 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
     /// Parses one level deeper, refusing to go past [`MAX_DEPTH`].
     fn nested<T>(
         &mut self,
         f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
         if self.depth == MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let out = f(self);
         self.depth -= 1;
         out
+    }
+
+    /// Parses a left-deep operator chain with `f`, which calls
+    /// [`Parser::sink`] at each operator. The chain's peak level starts
+    /// at the current depth and, once the chain is built, counts toward
+    /// any chain it is an operand of.
+    fn chain<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let out = f(self);
+        self.peak = self.peak.max(outer);
+        out
+    }
+
+    /// One more operator of a chain: the chain built so far becomes its
+    /// left operand, one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn sink(&mut self) -> Result<(), ParseError> {
+        if self.peak == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.peak += 1;
+        Ok(())
     }
 
     fn bump(&mut self) -> Tok {
@@ -680,28 +719,30 @@ impl Parser {
 
     // ---- expressions ----
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_term()?;
-        loop {
-            if self.try_punct("+") {
-                let rhs = self.parse_term()?;
-                lhs = Expr::Add(Box::new(lhs), Box::new(rhs));
-            } else if self.try_punct("-") {
-                let rhs = self.parse_term()?;
-                lhs = Expr::Sub(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
+    /// A left-deep chain of the binary operators `ops` over operands
+    /// that `operand` parses.
+    fn binary_chain(
+        &mut self,
+        ops: &[(&'static str, BinaryNode)],
+        operand: fn(&mut Parser) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        self.chain(|p| {
+            let mut lhs = operand(p)?;
+            while let Some(&(_, op)) = ops.iter().find(|&&(tok, _)| p.try_punct(tok)) {
+                p.sink()?;
+                let rhs = operand(p)?;
+                lhs = op(Box::new(lhs), Box::new(rhs));
             }
-        }
+            Ok(lhs)
+        })
+    }
+
+    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.binary_chain(&[("+", Expr::Add), ("-", Expr::Sub)], Parser::parse_term)
     }
 
     fn parse_term(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_factor()?;
-        while self.try_punct("*") {
-            let rhs = self.parse_factor()?;
-            lhs = Expr::Mul(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(&[("*", Expr::Mul)], Parser::parse_factor)
     }
 
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
@@ -713,13 +754,16 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_atom()?;
-        while self.try_punct("[") {
-            let idx = self.nested(Parser::parse_expr)?;
-            self.eat_punct("]")?;
-            e = Expr::Read(Box::new(e), Box::new(idx));
-        }
-        Ok(e)
+        self.chain(|p| {
+            let mut e = p.parse_atom()?;
+            while p.try_punct("[") {
+                p.sink()?;
+                let idx = p.nested(Parser::parse_expr)?;
+                p.eat_punct("]")?;
+                e = Expr::Read(Box::new(e), Box::new(idx));
+            }
+            Ok(e)
+        })
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
@@ -816,6 +860,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         pos: 0,
         next_site: 0,
         depth: 0,
+        peak: 0,
     };
     p.parse_program()
 }
@@ -833,6 +878,7 @@ pub fn parse_formula(src: &str) -> Result<Formula, ParseError> {
         pos: 0,
         next_site: 0,
         depth: 0,
+        peak: 0,
     };
     let f = p.parse_formula()?;
     if p.peek() != &Tok::Eof {
@@ -853,6 +899,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
         pos: 0,
         next_site: 0,
         depth: 0,
+        peak: 0,
     };
     let e = p.parse_expr()?;
     if p.peek() != &Tok::Eof {
@@ -1021,5 +1068,27 @@ mod tests {
         // numbers which shift, so compare bodies modulo tags).
         assert_eq!(reparsed.globals, prog.globals);
         assert_eq!(reparsed.procedures.len(), prog.procedures.len());
+    }
+
+    /// Each operator of a left-deep chain is a nesting level, and a
+    /// chain inside a chain's operand counts toward the outer chain.
+    #[test]
+    fn operator_chains_count_as_levels() {
+        let assert_of = |e: &str| format!("procedure f(x: int, m: map) {{ assert {e} != 0; }}");
+        let sum = |terms: usize| vec!["x"; terms].join(" + ");
+        assert!(
+            parse_program(&assert_of(&sum(257))).is_ok(),
+            "256 operators"
+        );
+        let deep = parse_program(&assert_of(&sum(258))).expect_err("257 operators");
+        assert!(deep.msg.contains("nesting deeper than 256"), "{deep}");
+        assert!(parse_program(&assert_of(&format!("m{}", "[0]".repeat(300)))).is_err());
+        // Each chain stays under the cap, but the tree they nest into
+        // is 20 * 20 levels deep.
+        let mut nested = "x".to_string();
+        for _ in 0..20 {
+            nested = format!("({nested}{})", " + x".repeat(20));
+        }
+        assert!(parse_program(&assert_of(&nested)).is_err());
     }
 }

@@ -9,8 +9,8 @@
 
 use acspec_ir::expr::Atom;
 use acspec_smt::TermId;
-use acspec_vcgen::analyzer::{ProcAnalyzer, Timeout};
-use acspec_vcgen::Selector;
+use acspec_vcgen::analyzer::ProcAnalyzer;
+use acspec_vcgen::{FaultReason, Selector};
 
 use crate::clause::{QClause, QLit};
 use crate::normalize::prime_implicates;
@@ -32,10 +32,10 @@ pub struct Cover {
 ///
 /// # Errors
 ///
-/// Returns [`Timeout`] if the analyzer's budget or the clause cap is
-/// exhausted (the paper reports the same: "others time out during the
+/// Returns the [`FaultReason`] if a query gave up or the clause cap
+/// was hit (the paper reports the same: "others time out during the
 /// predicate cover generation", §5.1.4).
-pub fn predicate_cover(az: &mut ProcAnalyzer, q: &[Atom]) -> Result<Cover, Timeout> {
+pub fn predicate_cover(az: &mut ProcAnalyzer, q: &[Atom]) -> Result<Cover, FaultReason> {
     predicate_cover_capped(az, q, 4096)
 }
 
@@ -47,8 +47,8 @@ pub fn predicate_cover(az: &mut ProcAnalyzer, q: &[Atom]) -> Result<Cover, Timeo
 ///
 /// # Errors
 ///
-/// Returns [`Timeout`] if the analyzer's budget or `max_clauses` is
-/// exhausted.
+/// Returns the [`FaultReason`] if a query gave up, or
+/// [`FaultReason::Cap`] once `max_clauses` clauses are enumerated.
 ///
 /// # Panics
 ///
@@ -58,7 +58,7 @@ pub fn predicate_cover_capped(
     az: &mut ProcAnalyzer,
     q: &[Atom],
     max_clauses: usize,
-) -> Result<Cover, Timeout> {
+) -> Result<Cover, FaultReason> {
     predicate_cover_salvaging(az, q, max_clauses, &mut None)
 }
 
@@ -71,8 +71,9 @@ pub fn predicate_cover_capped(
 ///
 /// # Errors
 ///
-/// Returns [`Timeout`] if the analyzer's budget, deadline, or
-/// `max_clauses` is exhausted.
+/// Returns the [`FaultReason`] if a query gave up (budget, deadline or
+/// an injected fault), or [`FaultReason::Cap`] once `max_clauses`
+/// clauses are enumerated.
 ///
 /// # Panics
 ///
@@ -82,7 +83,7 @@ pub fn predicate_cover_salvaging(
     q: &[Atom],
     max_clauses: usize,
     salvage: &mut Option<Cover>,
-) -> Result<Cover, Timeout> {
+) -> Result<Cover, FaultReason> {
     // Indicator per predicate: b_i ⇔ ⟦q_i⟧ over the input environment.
     // Translation goes through the session arena, so a predicate shared
     // across configurations is interned and encoded once.
@@ -112,16 +113,15 @@ pub fn predicate_cover_salvaging(
     let mut clauses: Vec<QClause> = Vec::new();
     loop {
         if clauses.len() >= max_clauses {
-            az.note_cap_fault();
             salvage_partial(&clauses, salvage);
-            return Err(Timeout);
+            return Err(FaultReason::Cap);
         }
         match az.any_failure(&[], &[session]) {
             Ok(true) => {}
             Ok(false) => break,
-            Err(t) => {
+            Err(reason) => {
                 salvage_partial(&clauses, salvage);
-                return Err(t);
+                return Err(reason);
             }
         }
         // The cover clause is the negation of the model's cube over Q.

@@ -9,6 +9,7 @@ use acspec_ir::{desugar_procedure, DesugarOptions};
 use acspec_predabs::cover::predicate_cover_capped;
 use acspec_predabs::mine::{mine_predicates, Abstraction};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
+use acspec_vcgen::FaultReason;
 
 fn setup(src: &str) -> (ProcAnalyzer, Vec<Atom>) {
     let prog = parse_program(src).expect("parses");
@@ -30,9 +31,10 @@ const THREE_CLAUSES: &str = "
 #[test]
 fn cap_at_cover_size_times_out() {
     let (mut az, q) = setup(THREE_CLAUSES);
-    assert!(
-        predicate_cover_capped(&mut az, &q, 3).is_err(),
-        "cap == |cover| must report Timeout: the loop cannot run the \
+    assert_eq!(
+        predicate_cover_capped(&mut az, &q, 3).err(),
+        Some(FaultReason::Cap),
+        "cap == |cover| must hit the cap: the loop cannot run the \
          final Unsat check"
     );
 }

@@ -34,8 +34,7 @@ pub mod trace;
 
 pub use json::Value;
 pub use metrics::{
-    max_rss_kb, opt, BoundsMismatch, Histogram, Manifest, MetricsRegistry, LATENCY_BUCKETS,
-    SCHEMA_VERSION,
+    max_rss_kb, opt, Histogram, Manifest, MetricsRegistry, LATENCY_BUCKETS, SCHEMA_VERSION,
 };
 pub use trace::{Span, SpanHandle, Trace, TraceBuf, TraceEvent, TraceRender};
 

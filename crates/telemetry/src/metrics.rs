@@ -112,23 +112,16 @@ impl Histogram {
         Some(top)
     }
 
-    /// Folds another histogram into this one. The bounds must match:
-    /// bucket counts from different bucketings are not comparable, so a
-    /// mismatch is reported to the caller instead of silently mixing
-    /// (or aborting a whole run on the snapshot path).
-    pub fn try_merge(&mut self, other: &Histogram) -> Result<(), BoundsMismatch> {
-        if self.bounds != other.bounds {
-            return Err(BoundsMismatch {
-                expected: self.bounds.clone(),
-                got: other.bounds.clone(),
-            });
-        }
+    /// Folds another histogram with the same bounds into this one.
+    /// Every histogram name has one compile-time bucketing, so the
+    /// bounds always agree.
+    fn merge(&mut self, other: &Histogram) {
+        debug_assert_eq!(self.bounds, other.bounds, "histogram bounds differ");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.sum += other.sum;
         self.count += other.count;
-        Ok(())
     }
 
     fn write_json(&self, out: &mut String) {
@@ -153,28 +146,6 @@ impl Histogram {
         out.push('}');
     }
 }
-
-/// Two histograms with different bucket bounds cannot be folded
-/// together; carries both bound vectors for the diagnostic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundsMismatch {
-    /// The receiving histogram's bounds.
-    pub expected: Vec<f64>,
-    /// The incoming histogram's bounds.
-    pub got: Vec<f64>,
-}
-
-impl std::fmt::Display for BoundsMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "histogram bounds mismatch: expected {:?}, got {:?}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for BoundsMismatch {}
 
 /// What produced a metrics snapshot: tool, subcommand, and the knobs
 /// that shaped the run. Stored verbatim in the snapshot so a
@@ -316,45 +287,10 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Folds another registry into this one. A histogram whose bounds
-    /// disagree with the resident one is quarantined under
-    /// `<name>!bounds-mismatch` (and the `telemetry.merge.bounds_mismatch`
-    /// counter bumped) rather than mixed or dropped: the snapshot path
-    /// must never panic mid-run, and losing the data silently would make
-    /// the mismatch undiagnosable.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0.0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.merge_histogram(k, h);
-        }
-    }
-
-    /// Folds one histogram into the registry under `name`, with the
-    /// same bounds-mismatch quarantine discipline as
-    /// [`MetricsRegistry::merge`].
+    /// Folds one histogram into the registry under `name`.
     pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
         match self.histograms.get_mut(name) {
-            Some(mine) => {
-                if mine.try_merge(h).is_err() {
-                    self.inc("telemetry.merge.bounds_mismatch", 1);
-                    let quarantined = format!("{name}!bounds-mismatch");
-                    match self.histograms.get_mut(&quarantined) {
-                        // A second distinct bucketing fails again; it
-                        // stays counted above but is not folded.
-                        Some(q) => {
-                            let _ = q.try_merge(h);
-                        }
-                        None => {
-                            self.histograms.insert(quarantined, h.clone());
-                        }
-                    }
-                }
-            }
+            Some(mine) => mine.merge(h),
             None => {
                 self.histograms.insert(name.to_string(), h.clone());
             }
@@ -515,7 +451,7 @@ mod tests {
         assert_eq!(h.counts(), &[3, 1, 2]);
         assert!((h.sum() - 9.0).abs() < 1e-12);
         let mut sink = Histogram::new(&[1.0, 2.0]);
-        sink.try_merge(&h).expect("same bounds");
+        sink.merge(&h);
         assert_eq!(sink.count(), 6);
     }
 
@@ -585,52 +521,5 @@ mod tests {
         assert!(a.contains("\"stage.total_seconds\":0.5"), "{a}");
         assert!(a.contains("\"scale\":8"), "{a}");
         assert!(a.contains("\"budget\":\"400000\""), "{a}");
-    }
-
-    #[test]
-    fn merge_folds_counters_gauges_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.inc("q", 1);
-        a.observe("lat", 0.5);
-        let mut b = MetricsRegistry::new();
-        b.inc("q", 2);
-        b.gauge_add("s", 1.5);
-        b.observe("lat", 0.5);
-        a.merge(&b);
-        assert_eq!(a.counter("q"), 3);
-        assert!((a.gauge("s") - 1.5).abs() < 1e-12);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn histogram_merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new(&[0.1, 1.0]);
-        a.observe(0.05);
-        let mut b = Histogram::new(&[0.5, 5.0]);
-        b.observe(0.3);
-        let err = a.try_merge(&b).expect_err("bounds differ");
-        assert_eq!(err.expected, vec![0.1, 1.0]);
-        assert_eq!(err.got, vec![0.5, 5.0]);
-        // The receiver is untouched by the failed merge.
-        assert_eq!(a.count(), 1);
-        assert!(err.to_string().contains("bounds mismatch"));
-    }
-
-    #[test]
-    fn registry_merge_quarantines_mismatched_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.observe_with("lat", &[0.1, 1.0], 0.05);
-        let mut b = MetricsRegistry::new();
-        b.observe_with("lat", &[0.5, 5.0], 0.3);
-        a.merge(&b);
-        // Original data intact, incoming data quarantined, incident counted.
-        assert_eq!(a.histogram("lat").unwrap().count(), 1);
-        assert_eq!(a.histogram("lat!bounds-mismatch").unwrap().count(), 1);
-        assert_eq!(a.counter("telemetry.merge.bounds_mismatch"), 1);
-        // A second mismatched merge with the same bucketing folds into
-        // the quarantine slot.
-        a.merge(&b);
-        assert_eq!(a.histogram("lat!bounds-mismatch").unwrap().count(), 2);
-        assert_eq!(a.counter("telemetry.merge.bounds_mismatch"), 2);
     }
 }

@@ -33,38 +33,12 @@ use acspec_smt::{Ctx, SearchSummary, SmtResult, Solver, SolverCounters, TermId};
 use crate::cache::{CacheStats, QueryCache};
 use crate::chaos::{ChaosConfig, ChaosFault, ChaosSolver, ChaosStats};
 use crate::evidence::CertStore;
-use crate::stage::{Budget, Deadline, FaultReason, Stage, StageError, StageTable};
+use crate::stage::{Budget, Deadline, FaultReason};
 use crate::translate::{expr_to_term, formula_to_term, interned_to_term, Env, TranslateError};
 
 /// A selector literal standing for an installed environment specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Selector(TermId);
-
-/// Analysis failure: the per-procedure budget was exhausted (the paper's
-/// timeouts, Figure 6/8 "TO" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Timeout;
-
-impl std::fmt::Display for Timeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "analysis budget exhausted")
-    }
-}
-
-impl std::error::Error for Timeout {}
-
-impl Timeout {
-    /// Tags the timeout with the pipeline stage it interrupted,
-    /// assuming conflict exhaustion. Callers holding the analyzer
-    /// should prefer [`ProcAnalyzer::stage_error`], which carries the
-    /// actual [`FaultReason`].
-    pub fn at(self, stage: Stage) -> StageError {
-        StageError {
-            stage,
-            reason: FaultReason::Conflicts,
-        }
-    }
-}
 
 /// How one SMT `check()` ended (telemetry's view of
 /// [`SmtResult`](acspec_smt::SmtResult), plus budget pre-exhaustion,
@@ -105,11 +79,9 @@ impl QueryOutcome {
 /// One record per SMT `check()`: the solver-query hook's payload.
 /// Captures the per-query delta of the SAT core's work counters and the
 /// theory-conflict count, the outcome, and the query's wall-clock
-/// latency, attributed to the pipeline stage active when it was issued.
+/// latency.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryRecord {
-    /// The stage charged for the query.
-    pub stage: Stage,
     /// Query index within this analyzer (0-based, issue order).
     pub seq: u32,
     /// How the query ended.
@@ -122,6 +94,29 @@ pub struct QueryRecord {
     /// search recording is on, see
     /// [`ProcAnalyzer::set_search_recording`]).
     pub search: Option<SearchSummary>,
+}
+
+impl From<SmtResult> for QueryOutcome {
+    /// A solver `Unknown` means the query ran out of conflicts.
+    fn from(result: SmtResult) -> QueryOutcome {
+        match result {
+            SmtResult::Sat => QueryOutcome::Sat,
+            SmtResult::Unsat => QueryOutcome::Unsat,
+            SmtResult::Unknown => QueryOutcome::Unknown {
+                reason: FaultReason::Conflicts,
+            },
+        }
+    }
+}
+
+/// A solver answer as a query result: `Sat` is `Ok(true)`, `Unsat`
+/// `Ok(false)`, and `Unknown` a conflict-budget fault.
+fn decided(result: SmtResult) -> Result<bool, FaultReason> {
+    match result {
+        SmtResult::Sat => Ok(true),
+        SmtResult::Unsat => Ok(false),
+        SmtResult::Unknown => Err(FaultReason::Conflicts),
+    }
 }
 
 /// Configuration for a [`ProcAnalyzer`].
@@ -186,16 +181,12 @@ pub struct ProcAnalyzer {
     deadline: Deadline,
     /// Deterministic fault-injection stream (`None` when disabled).
     chaos: Option<ChaosSolver>,
-    /// Why the most recent `Err(Timeout)` happened. Conflicts until
-    /// some query says otherwise; callers turning a [`Timeout`] into a
-    /// [`StageError`] read it via [`ProcAnalyzer::stage_error`].
-    last_fault: FaultReason,
-    /// The stage queries are currently attributed to.
-    stage: Stage,
-    /// Per-stage query/time accounting.
-    stages: StageTable,
-    /// Count of SMT queries issued (statistics).
+    /// Count of SMT queries issued, given-up ones included (statistics).
     pub queries: u64,
+    /// Work counters summed over every query: incremental, witness and
+    /// given-up ones alike, so they cover exactly the queries `queries`
+    /// counts.
+    counters: SolverCounters,
     /// When set, every `check()` appends a [`QueryRecord`]. Off by
     /// default so un-instrumented runs pay nothing but this flag test.
     record_queries: bool,
@@ -268,7 +259,6 @@ impl ProcAnalyzer {
         proc: &DesugaredProc,
         config: AnalyzerConfig,
     ) -> Result<ProcAnalyzer, TranslateError> {
-        let encode_start = std::time::Instant::now();
         let mut ctx = Ctx::new();
         let mut solver = Solver::new();
 
@@ -332,9 +322,6 @@ impl ProcAnalyzer {
         solver.assert_term(&mut ctx, imp);
         base_asserts.push(imp);
 
-        let mut stages = StageTable::default();
-        stages.record(Stage::Encode, encode_start.elapsed().as_secs_f64(), 0);
-
         Ok(ProcAnalyzer {
             ctx,
             solver,
@@ -347,10 +334,8 @@ impl ProcAnalyzer {
             budget: Budget::new(config.conflict_budget),
             deadline: Deadline::new(config.deadline),
             chaos: config.chaos.map(ChaosSolver::new),
-            last_fault: FaultReason::Conflicts,
-            stage: Stage::Screen,
-            stages,
             queries: 0,
+            counters: SolverCounters::default(),
             record_queries: false,
             record_search: false,
             query_log: Vec::new(),
@@ -391,11 +376,6 @@ impl ProcAnalyzer {
         self.record_queries = on;
     }
 
-    /// Whether per-query recording is on.
-    pub fn query_recording(&self) -> bool {
-        self.record_queries
-    }
-
     /// Enables (or disables) CDCL search recording: the SAT core's
     /// [`acspec_smt::SearchObserver`] is installed and every recorded
     /// query carries a per-query [`SearchSummary`]. Independent of
@@ -413,31 +393,11 @@ impl ProcAnalyzer {
         std::mem::take(&mut self.query_log)
     }
 
-    /// A snapshot of the underlying solver's monotone work counters.
-    pub fn solver_counters(&self) -> SolverCounters {
-        self.solver.counters()
-    }
-
-    /// Sets the stage subsequent queries are attributed to.
-    pub fn set_stage(&mut self, stage: Stage) {
-        self.stage = stage;
-    }
-
-    /// The stage currently charged for queries.
-    pub fn stage(&self) -> Stage {
-        self.stage
-    }
-
-    /// The per-stage query/time accounting so far.
-    pub fn stage_stats(&self) -> StageTable {
-        self.stages
-    }
-
-    /// Attributes wall-clock time spent *outside* the solver (e.g.
-    /// clause pruning, normal-form bookkeeping) to a stage, so the
-    /// stage table reflects real elapsed time and not just query time.
-    pub fn record_external(&mut self, stage: Stage, seconds: f64) {
-        self.stages.record(stage, seconds, 0);
+    /// The work counters summed over every query so far (see
+    /// `counters`): the sum of the [`QueryRecord::counters`] of every
+    /// query, recorded or not.
+    pub fn query_counters(&self) -> SolverCounters {
+        self.counters
     }
 
     /// Resets the conflict pool to its configured size. A session
@@ -448,29 +408,6 @@ impl ProcAnalyzer {
     pub fn refill_budget(&mut self) {
         self.budget.refill();
         self.deadline.restart();
-    }
-
-    /// Why the most recent `Err(Timeout)` happened ([`FaultReason::Conflicts`]
-    /// if no query has given up yet).
-    pub fn last_fault(&self) -> FaultReason {
-        self.last_fault
-    }
-
-    /// Marks the pending fault as a structural-cap overrun. Callers
-    /// enforcing their own caps (cover clause limits, search node
-    /// limits) note this before returning [`Timeout`], so the resulting
-    /// [`StageError`] names the right resource.
-    pub fn note_cap_fault(&mut self) {
-        self.last_fault = FaultReason::Cap;
-    }
-
-    /// Tags a [`Timeout`] with the interrupted stage and the reason the
-    /// analyzer recorded for it.
-    pub fn stage_error(&self, stage: Stage) -> StageError {
-        StageError {
-            stage,
-            reason: self.last_fault,
-        }
     }
 
     /// Number of entries currently held by the dominance cache (0 when
@@ -494,10 +431,9 @@ impl ProcAnalyzer {
     /// expiry, then a draw from the chaos stream. Returns `Err` to
     /// abort the query, `Ok(true)` to stall it first (injected
     /// latency), `Ok(false)` to run it normally.
-    fn pre_query_gate(&mut self) -> Result<bool, Timeout> {
+    fn pre_query_gate(&mut self) -> Result<bool, FaultReason> {
         if self.budget.exhausted() {
-            self.last_fault = FaultReason::Conflicts;
-            return Err(Timeout);
+            return Err(FaultReason::Conflicts);
         }
         if self.deadline.exceeded() {
             return Err(self.give_up(FaultReason::Deadline));
@@ -516,8 +452,7 @@ impl ProcAnalyzer {
                         self.budget.charge((left / 2).max(1_000));
                     }
                     if self.budget.exhausted() {
-                        self.last_fault = FaultReason::Chaos;
-                        return Err(Timeout);
+                        return Err(FaultReason::Chaos);
                     }
                 }
                 Some(ChaosFault::Latency) => return Ok(true),
@@ -526,27 +461,42 @@ impl ProcAnalyzer {
         Ok(false)
     }
 
-    /// Records a query-shaped `Unknown { reason }` (the ISSUE's
-    /// "surfaced from the solver instead of a hard stop"): counts as a
-    /// query, lands in the stage table and the query log, but never in
-    /// the dominance cache — callers see `Err(Timeout)` and the cache
+    /// Records a query-shaped `Unknown { reason }` instead of a hard
+    /// stop: it counts as a query and lands in the query log, but never
+    /// in the dominance cache — callers see `Err(reason)` and the cache
     /// insert only happens on `Ok`.
-    fn give_up(&mut self, reason: FaultReason) -> Timeout {
-        self.last_fault = reason;
+    fn give_up(&mut self, reason: FaultReason) -> FaultReason {
+        // The solver was never consulted: no work, no search to report.
+        self.account(
+            QueryOutcome::Unknown { reason },
+            0.0,
+            SolverCounters::default(),
+            None,
+        );
+        reason
+    }
+
+    /// The accounting tail every query shares: one more query, its work
+    /// counters into the running total and, when recording, its record
+    /// into the query log.
+    fn account(
+        &mut self,
+        outcome: QueryOutcome,
+        seconds: f64,
+        counters: SolverCounters,
+        search: Option<SearchSummary>,
+    ) {
         self.queries += 1;
-        self.stages.record(self.stage, 0.0, 1);
+        self.counters.add(&counters);
         if self.record_queries {
             self.query_log.push(QueryRecord {
-                stage: self.stage,
                 seq: (self.queries - 1) as u32,
-                outcome: QueryOutcome::Unknown { reason },
-                seconds: 0.0,
-                counters: SolverCounters::default(),
-                // The solver was never consulted: no search to report.
-                search: None,
+                outcome,
+                seconds,
+                counters,
+                search,
             });
         }
-        Timeout
     }
 
     /// The tracked locations.
@@ -682,12 +632,12 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
+    /// Returns the [`FaultReason`] if the query gave up.
     pub fn failure_witness(
         &mut self,
         assert: AssertId,
         active: &[Selector],
-    ) -> Result<Option<std::collections::BTreeMap<String, i64>>, Timeout> {
+    ) -> Result<Option<std::collections::BTreeMap<String, i64>>, FaultReason> {
         let g = self
             .assert_guards
             .iter()
@@ -716,15 +666,13 @@ impl ProcAnalyzer {
 
     /// Solves `assumptions` against a fresh solver loaded with the base
     /// assertion stream and, if satisfiable, reads the integer input
-    /// witness from that solver's model. Charged to the budget, query
-    /// count, stage table, and query log exactly like an incremental
-    /// `check()`.
+    /// witness from that solver's model. Charged to the budget and
+    /// accounted exactly like an incremental `check()`.
     fn witness_check(
         &mut self,
         assumptions: &[TermId],
-    ) -> Result<Option<std::collections::BTreeMap<String, i64>>, Timeout> {
+    ) -> Result<Option<std::collections::BTreeMap<String, i64>>, FaultReason> {
         let stall = self.pre_query_gate()?;
-        self.queries += 1;
         let start = std::time::Instant::now();
         if stall {
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -741,32 +689,15 @@ impl ProcAnalyzer {
         solver.set_sat_budget(self.budget.left());
         let result = solver.check(&mut self.ctx, assumptions);
         self.budget.charge(solver.conflicts());
-        let seconds = start.elapsed().as_secs_f64();
-        self.stages.record(self.stage, seconds, 1);
         let search = solver.take_search_summary();
-        if self.record_queries {
-            self.query_log.push(QueryRecord {
-                stage: self.stage,
-                seq: (self.queries - 1) as u32,
-                outcome: match result {
-                    SmtResult::Sat => QueryOutcome::Sat,
-                    SmtResult::Unsat => QueryOutcome::Unsat,
-                    SmtResult::Unknown => QueryOutcome::Unknown {
-                        reason: FaultReason::Conflicts,
-                    },
-                },
-                seconds,
-                counters: solver.counters(),
-                search,
-            });
-        }
-        match result {
-            SmtResult::Sat => {}
-            SmtResult::Unsat => return Ok(None),
-            SmtResult::Unknown => {
-                self.last_fault = FaultReason::Conflicts;
-                return Err(Timeout);
-            }
+        self.account(
+            result.into(),
+            start.elapsed().as_secs_f64(),
+            solver.counters(),
+            search,
+        );
+        if !decided(result)? {
+            return Ok(None);
         }
         let mut out = std::collections::BTreeMap::new();
         for (name, &t) in &self.input_env.vars {
@@ -787,7 +718,7 @@ impl ProcAnalyzer {
     /// verdict. Only used for queries whose assumption set is exactly
     /// selectors-plus-guards — ALL-SAT sessions and model-reading
     /// callers go straight to [`ProcAnalyzer::check`].
-    fn check_cached(&mut self, assumptions: &[TermId]) -> Result<bool, Timeout> {
+    fn check_cached(&mut self, assumptions: &[TermId]) -> Result<bool, FaultReason> {
         let key = match &mut self.cache {
             None => return self.check(assumptions),
             Some(cache) => {
@@ -805,9 +736,8 @@ impl ProcAnalyzer {
         Ok(answer)
     }
 
-    fn check(&mut self, assumptions: &[TermId]) -> Result<bool, Timeout> {
+    fn check(&mut self, assumptions: &[TermId]) -> Result<bool, FaultReason> {
         let stall = self.pre_query_gate()?;
-        self.queries += 1;
         let start = std::time::Instant::now();
         if stall {
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -818,43 +748,24 @@ impl ProcAnalyzer {
         let result = self.solver.check(&mut self.ctx, assumptions);
         let spent = self.solver.conflicts() - before.conflicts;
         self.budget.charge(spent);
-        let seconds = start.elapsed().as_secs_f64();
-        self.stages.record(self.stage, seconds, 1);
         // Taken per query even when the log is off, so the observer's
         // accumulation window always spans exactly one query.
         let search = self.solver.take_search_summary();
-        if self.record_queries {
-            self.query_log.push(QueryRecord {
-                stage: self.stage,
-                seq: (self.queries - 1) as u32,
-                outcome: match result {
-                    SmtResult::Sat => QueryOutcome::Sat,
-                    SmtResult::Unsat => QueryOutcome::Unsat,
-                    SmtResult::Unknown => QueryOutcome::Unknown {
-                        reason: FaultReason::Conflicts,
-                    },
-                },
-                seconds,
-                counters: self.solver.counters().since(&before),
-                search,
-            });
-        }
-        match result {
-            SmtResult::Sat => Ok(true),
-            SmtResult::Unsat => Ok(false),
-            SmtResult::Unknown => {
-                self.last_fault = FaultReason::Conflicts;
-                Err(Timeout)
-            }
-        }
+        self.account(
+            result.into(),
+            start.elapsed().as_secs_f64(),
+            self.solver.counters().since(&before),
+            search,
+        );
+        decided(result)
     }
 
     /// Is the given tracked location reachable under the active selectors?
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
-    pub fn is_reachable(&mut self, loc: LocId, active: &[Selector]) -> Result<bool, Timeout> {
+    /// Returns the [`FaultReason`] if a query gave up.
+    pub fn is_reachable(&mut self, loc: LocId, active: &[Selector]) -> Result<bool, FaultReason> {
         let g = self
             .loc_guards
             .iter()
@@ -870,8 +781,8 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
-    pub fn can_fail(&mut self, assert: AssertId, active: &[Selector]) -> Result<bool, Timeout> {
+    /// Returns the [`FaultReason`] if a query gave up.
+    pub fn can_fail(&mut self, assert: AssertId, active: &[Selector]) -> Result<bool, FaultReason> {
         let g = self
             .assert_guards
             .iter()
@@ -888,8 +799,8 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
-    pub fn dead_set(&mut self, active: &[Selector]) -> Result<BTreeSet<LocId>, Timeout> {
+    /// Returns the [`FaultReason`] if a query gave up.
+    pub fn dead_set(&mut self, active: &[Selector]) -> Result<BTreeSet<LocId>, FaultReason> {
         let locs = self.locations();
         let mut dead = BTreeSet::new();
         for l in locs {
@@ -906,8 +817,8 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
-    pub fn fail_set(&mut self, active: &[Selector]) -> Result<BTreeSet<AssertId>, Timeout> {
+    /// Returns the [`FaultReason`] if a query gave up.
+    pub fn fail_set(&mut self, active: &[Selector]) -> Result<BTreeSet<AssertId>, FaultReason> {
         let asserts = self.assertions();
         let mut fail = BTreeSet::new();
         for a in asserts {
@@ -924,8 +835,12 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
-    pub fn any_failure(&mut self, active: &[Selector], extra: &[TermId]) -> Result<bool, Timeout> {
+    /// Returns the [`FaultReason`] if a query gave up.
+    pub fn any_failure(
+        &mut self,
+        active: &[Selector],
+        extra: &[TermId],
+    ) -> Result<bool, FaultReason> {
         let mut assumptions: Vec<TermId> = active.iter().map(|s| s.0).collect();
         assumptions.push(self.fail_any);
         assumptions.extend_from_slice(extra);
@@ -945,12 +860,12 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget is exhausted.
+    /// Returns the [`FaultReason`] if a query gave up.
     pub fn is_consistent(
         &mut self,
         active: &[Selector],
         extra: &[TermId],
-    ) -> Result<bool, Timeout> {
+    ) -> Result<bool, FaultReason> {
         let mut assumptions: Vec<TermId> = active.iter().map(|s| s.0).collect();
         assumptions.extend_from_slice(extra);
         if extra.is_empty() {
@@ -1074,12 +989,13 @@ impl ProcAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`Timeout`] if the budget or `cap` is exhausted.
+    /// Returns the [`FaultReason`] if a query gave up, or
+    /// [`FaultReason::Cap`] past `cap` profiles.
     pub fn path_profiles(
         &mut self,
         active: &[Selector],
         cap: usize,
-    ) -> Result<BTreeSet<Vec<bool>>, Timeout> {
+    ) -> Result<BTreeSet<Vec<bool>>, FaultReason> {
         // Lazily create an indicator per tracked location: b ⇔ pc_l.
         if self.loc_indicators.is_empty() {
             let guards: Vec<(acspec_ir::locs::LocId, TermId)> = self.loc_pcs.clone();
@@ -1107,8 +1023,7 @@ impl ProcAnalyzer {
             self.add_clause(&blocking);
             profiles.insert(vector);
             if profiles.len() > cap {
-                self.note_cap_fault();
-                return Err(Timeout);
+                return Err(FaultReason::Cap);
             }
         }
         Ok(profiles)

@@ -48,7 +48,7 @@ pub mod stage;
 pub mod translate;
 pub mod wp;
 
-pub use analyzer::{AnalyzerConfig, ProcAnalyzer, QueryOutcome, QueryRecord, Selector, Timeout};
+pub use analyzer::{AnalyzerConfig, ProcAnalyzer, QueryOutcome, QueryRecord, Selector};
 pub use cache::{CacheSnapshot, CacheStats, QueryCache};
 pub use chaos::{
     ChaosConfig, ChaosFault, ChaosSolver, ChaosStats, ChaosStore, ChaosStoreStats, StoreFault,

@@ -1,13 +1,14 @@
 //! Pipeline stages, the per-procedure conflict budget, and per-stage
-//! query/time accounting.
+//! query/time tables.
 //!
 //! The analysis session runs one [`ProcAnalyzer`](crate::ProcAnalyzer)
 //! through a fixed sequence of stages (encode once, then screen / mine /
-//! cover / search / evaluate per configuration). The analyzer attributes
-//! every query and its wall-clock time to the stage active when it was
-//! issued, so reports can break Figure 9's single `T` column into real
-//! per-stage columns, and budget exhaustion carries the stage it
-//! happened in instead of a bare [`Timeout`](crate::Timeout).
+//! cover / search / evaluate per configuration). The session times each
+//! stage run and reads its query count off the analyzer's running
+//! totals, so reports can break Figure 9's single `T` column into real
+//! per-stage columns. A query that gives up returns its
+//! [`FaultReason`]; the session tags it with the stage it interrupted
+//! as a [`StageError`].
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -66,10 +67,10 @@ impl fmt::Display for Stage {
 /// Why a query (or a whole stage) gave up without a definite answer.
 ///
 /// One taxonomy serves both levels: the analyzer tags each aborted
-/// query (`QueryOutcome::Unknown { reason }`) and the session tags the
-/// resulting [`StageError`] with the same value, so a report's
-/// `timeout_stage` can say not just *where* the pipeline stopped but
-/// *what* resource ran out.
+/// query (`QueryOutcome::Unknown { reason }`) and returns the same value
+/// as its error, and the session tags it with the interrupted stage as a
+/// [`StageError`], so a report's `timeout_stage` can say not just
+/// *where* the pipeline stopped but *what* resource ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultReason {
     /// The deterministic conflict [`Budget`] ran dry.
@@ -254,35 +255,9 @@ impl StageTable {
         m.queries += queries;
     }
 
-    /// Adds every stage of `other` into `self`.
-    pub fn merge(&mut self, other: &StageTable) {
-        for stage in Stage::ALL {
-            let m = other.get(stage);
-            self.record(stage, m.seconds, m.queries);
-        }
-    }
-
     /// `(stage, metrics)` pairs in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = (Stage, StageMetrics)> + '_ {
         Stage::ALL.iter().map(|&s| (s, self.get(s)))
-    }
-
-    /// The per-stage difference `self - baseline`, for carving one
-    /// configuration's share out of a shared analyzer's cumulative
-    /// table. Saturates at zero (float noise aside, `baseline` is
-    /// expected to be a prefix snapshot of `self`).
-    pub fn since(&self, baseline: &StageTable) -> StageTable {
-        let mut delta = StageTable::default();
-        for stage in Stage::ALL {
-            let now = self.get(stage);
-            let then = baseline.get(stage);
-            delta.record(
-                stage,
-                (now.seconds - then.seconds).max(0.0),
-                now.queries.saturating_sub(then.queries),
-            );
-        }
-        delta
     }
 
     /// Total seconds across stages (Figure 9's `T` column).
@@ -326,11 +301,6 @@ mod tests {
         assert_eq!(t.get(Stage::Screen).queries, 12);
         assert_eq!(t.total_queries(), 17);
         assert!((t.total_seconds() - 1.75).abs() < 1e-9);
-
-        let mut sum = StageTable::default();
-        sum.merge(&t);
-        sum.merge(&t);
-        assert_eq!(sum.total_queries(), 34);
     }
 
     #[test]
