@@ -13,11 +13,6 @@
 //!                             --sort picks the ranking key (wall,
 //!                             queries, conflicts); --top-terms adds the
 //!                             most-shared WP subterms by arena refcount
-//! repro bench [--scale N] [--best-of N] [--out path]
-//!                             perf-regression snapshot: best-of-N
-//!                             fig8/fig9 runs with wall, maxrss, solver
-//!                             counters, and CDCL histograms (the
-//!                             committed BENCH_solver.json baseline)
 //! repro trace-diff <a> <b>    align two --trace-out JSONL traces by
 //!                             span path; report per-stage deltas and
 //!                             the first query-plan divergence
@@ -76,8 +71,7 @@
 use std::time::Instant;
 
 use acspec_bench::{
-    classify, evaluate_with, format_table, normalize_ablation, BenchEval, EvalOptions,
-    BENCH_COUNTERS, BENCH_WORKLOADS, PRUNE_LEVELS,
+    classify, evaluate_with, format_table, normalize_ablation, BenchEval, EvalOptions, PRUNE_LEVELS,
 };
 use acspec_benchgen::suite::{generate_entry, SuiteEntry, SuiteKind, SUITE};
 use acspec_benchgen::Benchmark;
@@ -90,16 +84,16 @@ use acspec_core::{
 use acspec_ir::arena::{Node, TermArena, TermId};
 use acspec_ir::{desugar_procedure, DesugarOptions, Formula};
 use acspec_store::{LoadResult, ResultStore};
-use acspec_telemetry::json::{write_f64, write_str};
-use acspec_telemetry::{max_rss_kb, opt, Manifest, MetricsRegistry, Trace, Value};
+use acspec_telemetry::json::write_str;
+use acspec_telemetry::{opt, Manifest, Trace, Value};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
 use acspec_vcgen::chaos::{silence_injected_panics, ChaosConfig};
 use acspec_vcgen::stage::Stage;
 use acspec_vcgen::wp::wp_interned;
 
-const USAGE: &str = "usage: repro <fig5|fig6|fig7|fig8|fig9|profile|bench|trace-diff|corpus|store|\
+const USAGE: &str = "usage: repro <fig5|fig6|fig7|fig8|fig9|profile|trace-diff|corpus|store|\
 ablation-incremental|ablation-normalize|ablation-interproc|all> [--scale N] [--top K] \
-[--top-terms] [--sort wall|queries|conflicts] [--best-of N] [--out path] \
+[--top-terms] [--sort wall|queries|conflicts] \
 [--trace-out path] [--trace-format jsonl|perfetto] [--metrics-out path] \
 [--certs-out path] [--no-query-cache] [--threads N] [--deadline secs] \
 [--chaos-seed u64] [--chaos-rate p]\n\
@@ -114,7 +108,6 @@ const COMMANDS: &[&str] = &[
     "fig8",
     "fig9",
     "profile",
-    "bench",
     "trace-diff",
     "corpus",
     "store",
@@ -130,10 +123,9 @@ const STORE_ACTIONS: &[&str] = &["stat", "gc", "verify"];
 
 /// Which flags each command accepts. A flag outside its command's row
 /// is a usage error — `repro corpus --scale 4` or `repro fig5
-/// --best-of 2` must fail loudly instead of silently ignoring the
-/// knob. Of the run flags, figure evaluations take the analyzer knobs
-/// and (`bench` aside) the sinks; only `corpus` and `store` take
-/// `--store-dir`.
+/// --top 3` must fail loudly instead of silently ignoring the knob. Of
+/// the run flags, figure evaluations take the analyzer knobs and the
+/// sinks; only `corpus` and `store` take `--store-dir`.
 fn allowed_flags(cmd: &str) -> Vec<&'static str> {
     let mut allowed: Vec<&'static str> = Vec::new();
     match cmd {
@@ -148,10 +140,6 @@ fn allowed_flags(cmd: &str) -> Vec<&'static str> {
             allowed.extend(["--threads", "--trace-format"]);
             allowed.extend(RunConfig::KNOB_FLAGS);
             allowed.extend(RunConfig::SINK_FLAGS);
-        }
-        "bench" => {
-            allowed.extend(["--scale", "--best-of", "--out", "--threads"]);
-            allowed.extend(RunConfig::KNOB_FLAGS);
         }
         "trace-diff" => allowed.push("--top"),
         "corpus" => allowed.extend([
@@ -191,8 +179,6 @@ struct Cli {
     top: usize,
     top_terms: bool,
     sort: ProfileSort,
-    best_of: usize,
-    out: Option<String>,
     trace_format: TraceFormat,
     threads: Option<usize>,
     /// The run flags shared with `acspec`.
@@ -229,8 +215,6 @@ fn parse_args() -> Cli {
         top: 10,
         top_terms: false,
         sort: ProfileSort::Wall,
-        best_of: 3,
-        out: None,
         trace_format: TraceFormat::Jsonl,
         threads: None,
         run: RunConfig::default(),
@@ -288,22 +272,6 @@ fn parse_args() -> Cli {
                     Some("conflicts") => ProfileSort::Conflicts,
                     _ => usage_error("--sort needs one of: wall, queries, conflicts"),
                 };
-                i += 2;
-            }
-            "--best-of" => {
-                cli.best_of = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage_error("--best-of needs a positive integer"));
-                i += 2;
-            }
-            "--out" => {
-                cli.out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--out needs a path"))
-                        .clone(),
-                );
                 i += 2;
             }
             "--trace-format" => {
@@ -461,10 +429,6 @@ fn main() {
     if opts.analyzer.chaos.is_some() {
         silence_injected_panics();
     }
-    if cli.cmd == "bench" {
-        bench(&cli, &opts);
-        return;
-    }
     let telemetry_on = cli.run.trace_out.is_some() || cli.run.metrics_out.is_some();
     let needs_trace = telemetry_on || cli.cmd == "profile";
     // CDCL search summaries ride along whenever a trace or metrics sink
@@ -568,99 +532,6 @@ fn write_sinks(cli: &Cli, opts: &EvalOptions, out: &TelemetryOutput) {
         out.write_metrics(path, Some(&manifest))
             .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
     }
-}
-
-/// One `"p50"/"p90"/"p100"` histogram summary for the snapshot.
-fn bench_hist_entry(m: &MetricsRegistry, name: &str) -> String {
-    let (count, p50, p90, p100) = m.histogram(name).map_or((0, 0.0, 0.0, 0.0), |h| {
-        (
-            h.count(),
-            h.quantile(0.5).unwrap_or(0.0),
-            h.quantile(0.9).unwrap_or(0.0),
-            h.quantile(1.0).unwrap_or(0.0),
-        )
-    });
-    let q = |v: f64| (v * 1e3).round() / 1e3;
-    let mut s = format!("{{\"count\": {count}, \"p50\": ");
-    write_f64(&mut s, q(p50));
-    s.push_str(", \"p90\": ");
-    write_f64(&mut s, q(p90));
-    s.push_str(", \"p100\": ");
-    write_f64(&mut s, q(p100));
-    s.push('}');
-    s
-}
-
-/// `repro bench`: the perf-regression snapshot. Runs every
-/// [`BENCH_WORKLOADS`] entry best-of-N (minimum wall wins; counters are
-/// deterministic and identical across reps), then writes the
-/// `BENCH_solver.json` baseline: wall seconds, peak RSS, solver
-/// counters, and the LBD / conflicts-per-restart histogram summaries.
-fn bench(cli: &Cli, opts: &EvalOptions) {
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_solver.json");
-    let scale = cli.scale;
-    println!(
-        "== Perf snapshot: fig6/fig8 best-of-{} at scale 1/{scale} ==\n",
-        cli.best_of
-    );
-    let mut json = String::from("{\n  \"schema\": 1,\n  \"snapshot\": \"solver\",\n");
-    json.push_str(&format!("  \"best_of\": {},\n", cli.best_of));
-    json.push_str("  \"workloads\": {\n");
-    // Two genuinely distinct workloads: the samate+small suites (the
-    // Figure 6/7 evaluation) and the large suite (Figures 8/9). The
-    // distinctness test in `tests/bench_workloads.rs` pins that their
-    // counter sets differ — an earlier snapshot gated the identical
-    // large-suite evaluation under two labels.
-    for (wi, (workload, kinds)) in BENCH_WORKLOADS.iter().enumerate() {
-        let mut best: Option<(f64, MetricsRegistry)> = None;
-        for _ in 0..cli.best_of {
-            let (wall, metrics) = acspec_bench::bench_workload_run(kinds, scale, opts);
-            let better = match &best {
-                None => true,
-                Some((w, _)) => wall < *w,
-            };
-            if better {
-                best = Some((wall, metrics));
-            }
-        }
-        let (wall, metrics) = best.expect("best_of >= 1");
-        let maxrss = max_rss_kb();
-        println!(
-            "{workload} --scale {scale}: wall {wall:.3}s, maxrss {maxrss} kB, {} queries, \
-             {} conflicts, {} restarts",
-            metrics.counter("solver.queries"),
-            metrics.counter("solver.conflicts"),
-            metrics.counter("solver.restarts"),
-        );
-        json.push_str(&format!("    \"{workload} --scale {scale}\": {{\n"));
-        json.push_str("      \"wall_s\": ");
-        write_f64(&mut json, (wall * 1e6).round() / 1e6);
-        json.push_str(&format!(",\n      \"maxrss_kb\": {maxrss},\n"));
-        json.push_str("      \"counters\": {\n");
-        for (ci, name) in BENCH_COUNTERS.iter().enumerate() {
-            json.push_str(&format!("        \"{name}\": {}", metrics.counter(name)));
-            json.push_str(if ci + 1 < BENCH_COUNTERS.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        json.push_str("      },\n      \"histograms\": {\n");
-        json.push_str(&format!(
-            "        \"conflicts_per_restart\": {},\n",
-            bench_hist_entry(&metrics, "solver.conflicts_per_restart")
-        ));
-        json.push_str(&format!(
-            "        \"lbd\": {}\n",
-            bench_hist_entry(&metrics, "solver.lbd")
-        ));
-        json.push_str("      }\n    }");
-        json.push_str(if wi == 0 { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(out_path, &json)
-        .unwrap_or_else(|e| usage_error(&format!("cannot write {out_path}: {e}")));
-    println!("\n(wrote perf snapshot to {out_path})");
 }
 
 /// `repro trace-diff <a> <b>`: aligns two `--trace-out` JSONL traces by

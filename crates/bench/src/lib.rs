@@ -13,61 +13,18 @@
 pub mod diff;
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
-use acspec_benchgen::suite::{generate_entry, SuiteKind, SUITE};
+use acspec_benchgen::suite::{generate_entry, SUITE};
 use acspec_benchgen::Benchmark;
 use acspec_core::{
     analyze_procedure, AcspecOptions, AnalysisIncident, ConfigName, NullObserver, ProcCerts,
-    ProcOutcome, ProcReport, ProgramAnalysis, SessionObserver, SibStatus, TelemetryObserver,
+    ProcOutcome, ProcReport, ProgramAnalysis, SessionObserver, SibStatus,
 };
 use acspec_predabs::normalize::PruneConfig;
-use acspec_telemetry::MetricsRegistry;
 use acspec_vcgen::analyzer::AnalyzerConfig;
 
 /// The prune levels of Figure 6: no pruning (`k = ∞`) and `k = 3, 2, 1`.
 pub const PRUNE_LEVELS: &[Option<usize>] = &[None, Some(3), Some(2), Some(1)];
-
-/// The named workloads of the `repro bench` perf snapshot: label and
-/// the suite kinds it evaluates. The two entries must stay *distinct*
-/// evaluations — an earlier snapshot ran the identical large suite
-/// under both a `fig8` and a `fig9` label, so the baseline pretended to
-/// pin two workloads while gating one ([`bench_workload_run`] plus the
-/// distinctness test in `tests/bench_workloads.rs` keep this honest).
-pub const BENCH_WORKLOADS: &[(&str, &[SuiteKind])] = &[
-    ("fig6", &[SuiteKind::Samate, SuiteKind::Small]),
-    ("fig8", &[SuiteKind::Large]),
-];
-
-/// The counters the perf gate compares. A change in any of these fails
-/// CI outright (quantity of search, not its speed).
-pub const BENCH_COUNTERS: &[&str] = &[
-    "solver.conflicts",
-    "solver.decisions",
-    "solver.learnt_clauses",
-    "solver.learnt_literals",
-    "solver.propagations",
-    "solver.queries",
-    "solver.restarts",
-];
-
-/// One instrumented run of a perf-snapshot workload: CDCL search
-/// summaries on, wall clock around the whole evaluation. Returns the
-/// wall seconds and the run's metrics registry.
-pub fn bench_workload_run(
-    kinds: &[SuiteKind],
-    scale: usize,
-    opts: &EvalOptions,
-) -> (f64, MetricsRegistry) {
-    let mut obs = TelemetryObserver::new().with_search_events(true);
-    let t0 = Instant::now();
-    for e in SUITE.iter().filter(|e| kinds.contains(&e.kind)) {
-        let bm = generate_entry(e, scale);
-        let _ = evaluate_with(&bm, opts, &mut obs);
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    (wall, obs.finish().metrics)
-}
 
 /// Evaluation of one procedure: per-configuration, per-prune-level
 /// reports plus the conservative baseline.

@@ -48,11 +48,16 @@ fn retired_search_options_are_usage_errors() {
         &["--cube-split", "2"],
         &["--search-threads", "4"],
         &["--restart-base", "16"],
+        &["--best-of", "3"],
+        &["--out", "snapshot.json"],
     ] {
         let args: Vec<&str> = ["fig9"].iter().chain(flag).copied().collect();
         assert_usage_error(&args, &format!("unknown flag `{}`", flag[0]));
     }
-    assert_usage_error(&["bench-parallel"], "unknown command `bench-parallel`");
+    // The benchmark is acbench; repro has no `bench` command.
+    for cmd in ["bench", "bench-parallel"] {
+        assert_usage_error(&[cmd], &format!("unknown command `{cmd}`"));
+    }
 }
 
 #[test]
@@ -65,14 +70,14 @@ fn deadline_beyond_a_duration_is_a_usage_error() {
 #[test]
 fn flag_outside_its_command_whitelist_is_rejected() {
     // Valid flags for other commands must not silently no-op.
-    assert_usage_error(&["fig5", "--best-of", "2"], "not valid for `repro fig5`");
+    assert_usage_error(&["fig5", "--top", "2"], "not valid for `repro fig5`");
     assert_usage_error(
         &["corpus", "run", "--scale", "4"],
         "not valid for `repro corpus`",
     );
     assert_usage_error(
-        &["bench", "--trace-out", "t.jsonl"],
-        "not valid for `repro bench`",
+        &["trace-diff", "a.jsonl", "b.jsonl", "--trace-out", "t.jsonl"],
+        "not valid for `repro trace-diff`",
     );
     assert_usage_error(&["fig9", "--store-dir", "s"], "not valid for `repro fig9`");
     assert_usage_error(

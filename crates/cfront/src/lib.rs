@@ -450,6 +450,29 @@ mod tests {
         assert!(matches!(e, CompileError::Lower(_)));
     }
 
+    /// `k` `||`-pairs joined by `&&` around a dereference: the
+    /// lowering copies the then-branch 2^k times.
+    fn pairs_condition(k: usize) -> String {
+        let pairs: Vec<String> = (0..k).map(|i| format!("(x == {i} || y == {i})")).collect();
+        format!(
+            "int f(int *p, int x, int y) {{\n  if ({}) {{ return *p; }}\n  return 0;\n}}\n",
+            pairs.join(" && ")
+        )
+    }
+
+    #[test]
+    fn short_circuit_copies_are_bounded() {
+        compile(&pairs_condition(14));
+        let Err(CompileError::Lower(e)) = compile_c(&pairs_condition(16)) else {
+            panic!("16 pairs must be a lowering error");
+        };
+        assert_eq!(e.line, 2, "located at the condition");
+        assert!(
+            e.msg.contains("short-circuit conditions copy more than"),
+            "{e}"
+        );
+    }
+
     #[test]
     fn figure2_compiles_and_desugars() {
         let prog = compile(

@@ -94,7 +94,7 @@ impl TelemetryObserver {
     /// observer enable the solver's [`SearchObserver`] hook (per-conflict
     /// LBD computation), and each `solver_query` trace event gains
     /// `restarts`/`max_dl`/`learnt_clauses`/`lbd_max` attributes plus
-    /// `solver.lbd` / `solver.conflicts_per_restart` histograms in the
+    /// `solver.lbd` / `solver.conflicts_per_interval` histograms in the
     /// metrics snapshot. Off by default — existing traces and snapshots
     /// are byte-identical to pre-instrumentation output.
     ///
@@ -278,12 +278,13 @@ impl SessionObserver for TelemetryObserver {
                 "solver.lbd",
                 &Histogram::from_parts(&lbd_bounds, &s.lbd_hist, s.lbd_sum as f64),
             );
-            // Each restart interval contributes its conflict count, so
-            // the histogram's sum is the total conflicts in the window.
+            // One sample per search interval: each restart closes one,
+            // and so does the end of each query whose last interval saw
+            // a conflict. The sum is therefore `solver.conflicts`.
             let restart_bounds: Vec<f64> =
                 RESTART_BUCKET_BOUNDS.iter().map(|&b| b as f64).collect();
             self.metrics.merge_histogram(
-                "solver.conflicts_per_restart",
+                "solver.conflicts_per_interval",
                 &Histogram::from_parts(&restart_bounds, &s.restart_hist, s.conflicts as f64),
             );
         }
@@ -469,12 +470,12 @@ mod tests {
         // and the decision-level gauge must exist whenever search
         // summaries were recorded.
         let lbd = out.metrics.histogram("solver.lbd").expect("lbd histogram");
-        let cpr = out
+        let intervals = out
             .metrics
-            .histogram("solver.conflicts_per_restart")
-            .expect("restart histogram");
+            .histogram("solver.conflicts_per_interval")
+            .expect("interval histogram");
         assert_eq!(lbd.count(), out.metrics.counter("solver.learnt_clauses"));
-        assert!(cpr.count() >= 1, "every consulted query ends an interval");
+        assert!(intervals.count() >= 1, "no search interval recorded");
         assert!(out.metrics.gauge("solver.max_decision_level") >= 0.0);
         // Every recorded solver_query event carries the CDCL attrs.
         assert!(!out.trace.events.is_empty());

@@ -82,36 +82,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// The `q`-quantile (`q` clamped to `[0, 1]`) estimated by linear
-    /// interpolation within the containing bucket, assuming
-    /// non-negative observations (the first bucket interpolates from
-    /// zero). The overflow bucket has no upper edge, so quantiles
-    /// landing there clamp to the largest bound. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let top = self.bounds.last().copied().unwrap_or(0.0);
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut cum = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = cum + c as f64;
-            if rank <= next {
-                let Some(&hi) = self.bounds.get(i) else {
-                    return Some(top); // overflow bucket: clamp
-                };
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let frac = ((rank - cum) / c as f64).clamp(0.0, 1.0);
-                return Some(lo + frac * (hi - lo));
-            }
-            cum = next;
-        }
-        Some(top)
-    }
-
     /// Folds another histogram with the same bounds into this one.
     /// Every histogram name has one compile-time bucketing, so the
     /// bounds always agree.
@@ -148,8 +118,8 @@ impl Histogram {
 }
 
 /// What produced a metrics snapshot: tool, subcommand, and the knobs
-/// that shaped the run. Stored verbatim in the snapshot so a
-/// `BENCH_*.json` file is self-describing.
+/// that shaped the run. Stored verbatim in the snapshot so a metrics
+/// file is self-describing.
 #[derive(Debug, Clone, Default)]
 pub struct Manifest {
     /// The binary (`acspec`, `repro`).
@@ -248,9 +218,8 @@ impl MetricsRegistry {
     }
 
     /// Stamps the process-level gauges `process.wall_s` (caller-measured
-    /// wall time) and `process.maxrss_kb` (peak RSS via [`max_rss_kb`])
-    /// so `--metrics-out` snapshots and the `repro bench` capture agree
-    /// on one source of truth.
+    /// wall time) and `process.maxrss_kb` (peak RSS via [`max_rss_kb`]),
+    /// so a `--metrics-out` snapshot says what the whole run cost.
     pub fn record_process_gauges(&mut self, wall_s: f64) {
         self.gauge_set("process.wall_s", wall_s);
         self.gauge_set("process.maxrss_kb", max_rss_kb() as f64);
@@ -386,38 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_interpolates_within_buckets() {
-        let mut h = Histogram::new(&[1.0, 2.0, 4.0]);
-        assert_eq!(h.quantile(0.5), None, "empty histogram has no quantile");
-        for v in [0.5, 0.5, 1.5, 1.5] {
-            h.observe(v);
-        }
-        // q = 0 sits at the lower edge of the first populated bucket.
-        assert!((h.quantile(0.0).unwrap() - 0.0).abs() < 1e-12);
-        // Half the mass fills bucket [0, 1]: q = 0.5 lands exactly on
-        // the shared bucket edge.
-        assert!((h.quantile(0.5).unwrap() - 1.0).abs() < 1e-12);
-        // q = 0.75 is halfway through bucket (1, 2].
-        assert!((h.quantile(0.75).unwrap() - 1.5).abs() < 1e-12);
-        // q = 1 reaches the upper edge of the last populated bucket.
-        assert!((h.quantile(1.0).unwrap() - 2.0).abs() < 1e-12);
-        // Out-of-range q clamps rather than panicking.
-        assert_eq!(h.quantile(-1.0), h.quantile(0.0));
-        assert_eq!(h.quantile(2.0), h.quantile(1.0));
-    }
-
-    #[test]
-    fn quantile_clamps_in_the_overflow_bucket() {
-        let mut h = Histogram::new(&[1.0, 2.0]);
-        h.observe(0.5);
-        h.observe(100.0); // overflow: no upper edge
-        assert!((h.quantile(1.0).unwrap() - 2.0).abs() < 1e-12);
-        // Rank 0.5 of the single observation in bucket [0, 1]
-        // interpolates to the bucket midpoint.
-        assert!((h.quantile(0.25).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn gauge_set_and_max_semantics() {
         let mut r = MetricsRegistry::new();
         r.gauge_set("g", 2.0);
@@ -453,49 +390,6 @@ mod tests {
         let mut sink = Histogram::new(&[1.0, 2.0]);
         sink.merge(&h);
         assert_eq!(sink.count(), 6);
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Oracle check: against a sorted vector of the raw
-        /// observations, the interpolated histogram quantile must land
-        /// within the bucket that contains the true (nearest-rank)
-        /// quantile.
-        #[test]
-        fn quantile_tracks_sorted_vec_oracle(
-            raw in proptest::collection::vec(0u64..2000, 1..200),
-            q_pct in 0u64..101,
-        ) {
-            let bounds = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
-            let values: Vec<f64> = raw.iter().map(|&v| v as f64 / 100.0).collect();
-            let q = q_pct as f64 / 100.0;
-            let mut h = Histogram::new(&bounds);
-            let mut sorted = values.clone();
-            for &v in &values {
-                h.observe(v);
-            }
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let n = sorted.len();
-            let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-            let oracle = sorted[idx];
-            let est = h.quantile(q).unwrap();
-            match bounds.iter().position(|&b| oracle <= b) {
-                Some(i) => {
-                    let lo = if i == 0 { 0.0 } else { bounds[i - 1] };
-                    prop_assert!(
-                        est >= lo - 1e-9 && est <= bounds[i] + 1e-9,
-                        "estimate {} outside oracle bucket [{}, {}] (oracle {}, q {})",
-                        est, lo, bounds[i], oracle, q
-                    );
-                }
-                None => prop_assert!(
-                    (est - bounds[bounds.len() - 1]).abs() < 1e-9,
-                    "overflow quantile must clamp to the top bound, got {}",
-                    est
-                ),
-            }
-        }
     }
 
     #[test]

@@ -224,6 +224,36 @@ fn deep_nesting_is_a_located_usage_error() {
     }
 }
 
+/// A C condition of k `||`-pairs joined by `&&` lowers its branch 2^k
+/// times. Past the front end's copy bound it is a located usage error,
+/// reached before the copies can exhaust memory (at 18 pairs the
+/// process used to abort on a failed allocation).
+#[test]
+fn exponential_short_circuit_lowering_is_a_located_usage_error() {
+    let pairs: Vec<String> = (0..24).map(|i| format!("(x == {i} || y == {i})")).collect();
+    let source = format!(
+        "int f(int *p, int x, int y) {{\n  if ({}) {{ return *p; }}\n  return 0;\n}}\n",
+        pairs.join(" && ")
+    );
+    let start = std::time::Instant::now();
+    let (out, input) = acspec_on_source("short-circuit", "c", &source, &[]);
+    let elapsed = start.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "24 pairs: {stderr}");
+    assert!(
+        stderr.starts_with(&format!(
+            "error: {}:2: short-circuit conditions copy",
+            input.display()
+        )),
+        "24 pairs need a file:line diagnostic:\n{stderr}"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "24 pairs took {elapsed:?} to reject"
+    );
+    let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
+}
+
 /// `--triage` runs the same `ProgramAnalysis` as the default path, so it
 /// honours the run flags: a certificate sidecar that checks, a store
 /// whose warm rerun runs no solver query, and a metrics snapshot.
