@@ -7,12 +7,11 @@
 //! repro fig7  [--scale N]     C/FP/FN classification      (Figure 7)
 //! repro fig8  [--scale N]     large-benchmark warnings    (Figure 8)
 //! repro fig9  [--scale N]     per-procedure averages      (Figure 9)
-//! repro profile [--scale N] [--top K] [--top-terms] [--sort KEY]
+//! repro profile [--scale N] [--top K] [--sort KEY]
 //!                             top-K slowest procedures and solver
 //!                             queries, with stage/config attribution;
 //!                             --sort picks the ranking key (wall,
-//!                             queries, conflicts); --top-terms adds the
-//!                             most-shared WP subterms by arena refcount
+//!                             queries, conflicts)
 //! repro trace-diff <a> <b>    align two --trace-out JSONL traces by
 //!                             span path; report per-stage deltas and
 //!                             the first query-plan divergence
@@ -81,19 +80,17 @@ use acspec_core::{
     ConfigName, NullObserver, ProcCerts, RunConfig, SessionObserver, StageTotals, StoreSession,
     TeeObserver, TelemetryObserver, TelemetryOutput,
 };
-use acspec_ir::arena::{Node, TermArena, TermId};
-use acspec_ir::{desugar_procedure, DesugarOptions, Formula};
+use acspec_ir::{desugar_procedure, DesugarOptions};
 use acspec_store::{LoadResult, ResultStore};
 use acspec_telemetry::json::write_str;
 use acspec_telemetry::{opt, Manifest, Trace, Value};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
 use acspec_vcgen::chaos::{silence_injected_panics, ChaosConfig};
 use acspec_vcgen::stage::Stage;
-use acspec_vcgen::wp::wp_interned;
 
 const USAGE: &str = "usage: repro <fig5|fig6|fig7|fig8|fig9|profile|trace-diff|corpus|store|\
 ablation-incremental|ablation-normalize|ablation-interproc|all> [--scale N] [--top K] \
-[--top-terms] [--sort wall|queries|conflicts] \
+[--sort wall|queries|conflicts] \
 [--trace-out path] [--trace-format jsonl|perfetto] [--metrics-out path] \
 [--certs-out path] [--no-query-cache] [--threads N] [--deadline secs] \
 [--chaos-seed u64] [--chaos-rate p]\n\
@@ -136,7 +133,7 @@ fn allowed_flags(cmd: &str) -> Vec<&'static str> {
             allowed.extend(RunConfig::SINK_FLAGS);
         }
         "profile" => {
-            allowed.extend(["--scale", "--top", "--top-terms", "--sort"]);
+            allowed.extend(["--scale", "--top", "--sort"]);
             allowed.extend(["--threads", "--trace-format"]);
             allowed.extend(RunConfig::KNOB_FLAGS);
             allowed.extend(RunConfig::SINK_FLAGS);
@@ -177,7 +174,6 @@ struct Cli {
     cmd: String,
     scale: usize,
     top: usize,
-    top_terms: bool,
     sort: ProfileSort,
     trace_format: TraceFormat,
     threads: Option<usize>,
@@ -213,7 +209,6 @@ fn parse_args() -> Cli {
         cmd: String::new(),
         scale: 1,
         top: 10,
-        top_terms: false,
         sort: ProfileSort::Wall,
         trace_format: TraceFormat::Jsonl,
         threads: None,
@@ -260,10 +255,6 @@ fn parse_args() -> Cli {
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage_error("--top needs a positive integer"));
                 i += 2;
-            }
-            "--top-terms" => {
-                cli.top_terms = true;
-                i += 1;
             }
             "--sort" => {
                 cli.sort = match args.get(i + 1).map(String::as_str) {
@@ -487,9 +478,6 @@ fn main() {
             .record_process_gauges(t0.elapsed().as_secs_f64());
         if cli.cmd == "profile" {
             profile(&out, cli.top, cli.sort);
-            if cli.top_terms {
-                profile_top_terms(scale, cli.top);
-            }
         }
         write_sinks(&cli, &opts, &out);
     }
@@ -1020,101 +1008,6 @@ fn profile(out: &TelemetryOutput, top: usize, sort: ProfileSort) {
         out.trace.spans_of("procedure").count(),
         out.trace.events.len()
     );
-}
-
-/// `repro profile --top-terms`: interns the weakest preconditions of the
-/// Figure 9 workload into one shared arena and prints the most-referenced
-/// composite subterms — the sharing the hash-consed representation buys.
-fn profile_top_terms(scale: usize, top: usize) {
-    // Safety valve: a pathological workload could intern an unbounded
-    // number of distinct nodes; stop (and say so) rather than thrash.
-    const NODE_CAP: usize = 4_000_000;
-
-    let mut arena = TermArena::new();
-    let mut procs = 0usize;
-    let mut skipped = 0usize;
-    for e in entries(&[SuiteKind::Large]) {
-        let bm = generate_entry(e, scale);
-        for proc in &bm.program.procedures {
-            if proc.body.is_none() {
-                continue;
-            }
-            if arena.len() > NODE_CAP {
-                skipped += 1;
-                continue;
-            }
-            let d = desugar_procedure(&bm.program, proc, DesugarOptions::default()).expect("ok");
-            let post = arena.intern_formula(&Formula::True);
-            let _ = wp_interned(&mut arena, &d.body, post);
-            procs += 1;
-        }
-    }
-
-    println!("== Term sharing: top {top} shared subterms by refcount ==\n");
-    let refs = arena.refcounts();
-    let mut ranked: Vec<(usize, u32)> = refs
-        .iter()
-        .enumerate()
-        .filter(|&(i, &n)| {
-            // Leaves (variables, constants) are shared trivially; rank
-            // only composite terms, where sharing saves real work.
-            n >= 2
-                && !matches!(
-                    arena.node(TermId(i as u32)),
-                    Node::True | Node::False | Node::Var(_) | Node::Nu(_) | Node::Int(_)
-                )
-        })
-        .map(|(i, &n)| (i, n))
-        .collect();
-    ranked.sort_by_key(|&(i, n)| (std::cmp::Reverse(n), i));
-
-    let mut rows = Vec::new();
-    for &(i, n) in ranked.iter().take(top) {
-        let t = TermId(i as u32);
-        let dag = arena.dag_size(t);
-        let tree = arena.tree_size(t);
-        let text = if tree <= 120 {
-            let s = if arena.is_formula(t) {
-                arena.extern_formula(t).to_string()
-            } else {
-                arena.extern_expr(t).to_string()
-            };
-            if s.len() > 48 {
-                let mut cut = 47;
-                while !s.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                format!("{}…", &s[..cut])
-            } else {
-                s
-            }
-        } else {
-            format!("«{dag} dag nodes»")
-        };
-        rows.push(vec![
-            format!("t{i}"),
-            n.to_string(),
-            dag.to_string(),
-            tree.to_string(),
-            text,
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(&["Term", "Refs", "Dag", "Tree", "Rendering"], &rows)
-    );
-    let stats = arena.stats();
-    println!(
-        "({procs} procedure WPs interned; {} nodes, {} intern hits ({:.1}% hit rate), ~{} KiB saved)",
-        stats.interned_nodes,
-        stats.intern_hits,
-        100.0 * stats.hit_rate(),
-        stats.bytes_saved() / 1024
-    );
-    if skipped > 0 {
-        println!("({skipped} procedures skipped after the {NODE_CAP}-node arena cap)");
-    }
-    println!();
 }
 
 fn entries(kinds: &[SuiteKind]) -> Vec<&'static SuiteEntry> {

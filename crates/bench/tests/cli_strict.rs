@@ -54,6 +54,8 @@ fn retired_search_options_are_usage_errors() {
         let args: Vec<&str> = ["fig9"].iter().chain(flag).copied().collect();
         assert_usage_error(&args, &format!("unknown flag `{}`", flag[0]));
     }
+    // The IR keeps one term representation: no arena refcounts to rank.
+    assert_usage_error(&["profile", "--top-terms"], "unknown flag `--top-terms`");
     // The benchmark is acbench; repro has no `bench` command.
     for cmd in ["bench", "bench-parallel"] {
         assert_usage_error(&[cmd], &format!("unknown command `{cmd}`"));

@@ -134,16 +134,17 @@ pub enum CStmt {
     /// `for (init; cond; step) { … }` (all parts already parsed into
     /// statements/expressions).
     For(Box<CStmt>, CExpr, Box<CStmt>, Vec<CStmt>),
-    /// `return e;` / `return;`.
-    Return(Option<CExpr>),
+    /// `return e;` / `return;`, with the line of `return`.
+    Return(Option<CExpr>, u32),
     /// Expression statement (a call).
     Expr(CExpr),
     /// `free(p);` — special-cased per the paper's type-state model.
     Free(CExpr, u32),
-    /// `switch (e) { case k: … break; … default: … }`. Each case body
-    /// must end before the next label with `break` (fall-through is not
-    /// supported); lowered to an if/else-if chain.
-    Switch(CExpr, Vec<(Option<i64>, Vec<CStmt>)>),
+    /// `switch (e) { case k: … break; … default: … }`. Each arm holds
+    /// its label (`None` for `default`), the line of the label and its
+    /// body. Each body must end before the next label with `break`
+    /// (fall-through is not supported); lowered to an if/else-if chain.
+    Switch(CExpr, Vec<(Option<i64>, u32, Vec<CStmt>)>),
     /// A nested block.
     Block(Vec<CStmt>),
 }

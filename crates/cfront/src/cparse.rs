@@ -475,8 +475,9 @@ impl P {
             let scrutinee = self.parse_expr()?;
             self.eat(")")?;
             self.eat("{")?;
-            let mut arms: Vec<(Option<i64>, Vec<CStmt>)> = Vec::new();
+            let mut arms: Vec<(Option<i64>, u32, Vec<CStmt>)> = Vec::new();
             while !self.try_eat("}") {
+                let line = self.line();
                 let label = if self.at_ident("case") {
                     self.bump();
                     let negative = self.try_eat("-");
@@ -507,7 +508,7 @@ impl P {
                         // A `break` is unnecessary when the arm cannot
                         // fall through (it ends in `return`), for the
                         // default arm, and before the closing brace.
-                        let ends_in_return = matches!(body.last(), Some(CStmt::Return(_)));
+                        let ends_in_return = matches!(body.last(), Some(CStmt::Return(..)));
                         if label.is_none() || self.peek() == &Tok::Punct("}") || ends_in_return {
                             break;
                         }
@@ -515,18 +516,19 @@ impl P {
                     }
                     body.push(self.nested(P::parse_stmt)?);
                 }
-                arms.push((label, body));
+                arms.push((label, line, body));
             }
             return Ok(CStmt::Switch(scrutinee, arms));
         }
         if self.at_ident("return") {
+            let line = self.line();
             self.bump();
             if self.try_eat(";") {
-                return Ok(CStmt::Return(None));
+                return Ok(CStmt::Return(None, line));
             }
             let e = self.parse_expr()?;
             self.eat(";")?;
-            return Ok(CStmt::Return(Some(e)));
+            return Ok(CStmt::Return(Some(e), line));
         }
         let s = self.parse_simple_stmt()?;
         self.eat(";")?;

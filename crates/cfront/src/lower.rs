@@ -53,6 +53,19 @@ impl std::error::Error for LowerError {}
 /// the corpus copies more than one.
 const MAX_COPIED_STMTS: usize = 100_000;
 
+/// How many guards may enclose a statement of one function, counting
+/// the `%returned == 0` guard of each early `return` with statements
+/// after it and the test of each `switch` case. Each guard nests the
+/// rest of the function one level deeper, and every later pass recurses
+/// over that nesting, so past this bound lowering stops with a located
+/// error instead of overflowing the stack. The parsers' 256-level cap
+/// does not see these levels: they come from statements in sequence.
+/// 255 nested blocks around 400 early returns lower and type-check on
+/// the 8 MiB main thread of a debug build (at 550 they overflow it),
+/// and encode on a worker with 7 MiB of stack in a debug build and
+/// 2 MiB in a release build.
+const MAX_NESTED_GUARDS: usize = 400;
+
 fn err<T>(msg: impl Into<String>, line: u32) -> Result<T, LowerError> {
     Err(LowerError {
         msg: msg.into(),
@@ -126,10 +139,11 @@ pub fn lower_c_program(cprog: &CProgram) -> Result<Program, LowerError> {
             has_early_return: false,
             ret_type: f.ret.clone(),
             copied_stmts: 0,
+            guards: 0,
         };
         lw.types.insert("%ret".to_string(), f.ret.clone());
         let (mut lowered, may_return) = lw.lower_stmts(body)?;
-        if may_return {
+        if may_return.is_some() {
             // Initialize the flag at entry.
             lowered = Stmt::seq(vec![
                 Stmt::Assign("%returned".into(), Expr::Int(0)),
@@ -147,7 +161,7 @@ pub fn lower_c_program(cprog: &CProgram) -> Result<Program, LowerError> {
         for (name, sort) in &lw.locals {
             proc.var_sorts.insert(name.clone(), *sort);
         }
-        if may_return {
+        if may_return.is_some() {
             proc.locals.push("%returned".into());
             proc.var_sorts.insert("%returned".into(), Sort::Int);
         }
@@ -171,6 +185,21 @@ struct Lowerer<'a> {
     ret_type: CType,
     /// Statements [`Lowerer::copy_branch`] has copied so far.
     copied_stmts: usize,
+    /// Guards enclosing the statement being lowered (see
+    /// [`MAX_NESTED_GUARDS`]).
+    guards: usize,
+}
+
+/// The error for the `return` or `case` at `line` that nests past
+/// [`MAX_NESTED_GUARDS`].
+fn too_many_guards<T>(line: u32) -> Result<T, LowerError> {
+    err(
+        format!(
+            "early returns and switch cases nest more than {MAX_NESTED_GUARDS} guards deep \
+             in this function; split the function"
+        ),
+        line,
+    )
 }
 
 impl Lowerer<'_> {
@@ -503,42 +532,49 @@ impl Lowerer<'_> {
         }
     }
 
-    /// Lowers a statement list; the bool reports whether a `return` may
+    /// Lowers a statement list; the line is that of a `return` that may
     /// have executed (the remainder is then guarded by `%returned == 0`).
-    fn lower_stmts(&mut self, stmts: &[CStmt]) -> Result<(Stmt, bool), LowerError> {
+    fn lower_stmts(&mut self, stmts: &[CStmt]) -> Result<(Stmt, Option<u32>), LowerError> {
         let mut out: Vec<Stmt> = Vec::new();
-        let mut may_return = false;
+        let mut may_return = None;
         for (i, s) in stmts.iter().enumerate() {
             let (lowered, returns) = self.lower_stmt(s)?;
             out.push(lowered);
-            if returns && i + 1 < stmts.len() {
-                // Guard the remainder. A return may already have
-                // happened, so the whole sequence "may return"
-                // regardless of the remainder.
-                let (rest, _rest_returns) = self.lower_stmts(&stmts[i + 1..])?;
-                out.push(Stmt::ite(
-                    Formula::eq(Expr::var("%returned"), Expr::Int(0)),
-                    rest,
-                    Stmt::Skip,
-                ));
-                return Ok((Stmt::seq(out), true));
+            match returns {
+                Some(line) if i + 1 < stmts.len() => {
+                    // Guard the remainder. A return may already have
+                    // happened, so the whole sequence "may return"
+                    // regardless of the remainder.
+                    self.guards += 1;
+                    if self.guards > MAX_NESTED_GUARDS {
+                        return too_many_guards(line);
+                    }
+                    let (rest, _rest_returns) = self.lower_stmts(&stmts[i + 1..])?;
+                    self.guards -= 1;
+                    out.push(Stmt::ite(
+                        Formula::eq(Expr::var("%returned"), Expr::Int(0)),
+                        rest,
+                        Stmt::Skip,
+                    ));
+                    return Ok((Stmt::seq(out), returns));
+                }
+                _ => may_return = may_return.or(returns),
             }
-            may_return |= returns;
         }
         Ok((Stmt::seq(out), may_return))
     }
 
-    fn lower_stmt(&mut self, s: &CStmt) -> Result<(Stmt, bool), LowerError> {
+    fn lower_stmt(&mut self, s: &CStmt) -> Result<(Stmt, Option<u32>), LowerError> {
         match s {
             CStmt::Block(ss) => self.lower_stmts(ss),
             CStmt::Decl(name, ty, init) => {
                 self.declare_local(name, ty.clone());
                 match init {
-                    None => Ok((Stmt::Skip, false)),
+                    None => Ok((Stmt::Skip, None)),
                     Some(e) => {
                         let (mut pre, v) = self.lower_expr(e)?;
                         pre.push(Stmt::Assign(name.clone(), v));
-                        Ok((Stmt::seq(pre), false))
+                        Ok((Stmt::seq(pre), None))
                     }
                 }
             }
@@ -592,13 +628,13 @@ impl Lowerer<'_> {
                         ));
                     }
                 }
-                Ok((Stmt::seq(pre), false))
+                Ok((Stmt::seq(pre), None))
             }
             CStmt::If(c, then_b, else_b) => {
                 let (then_s, r1) = self.lower_stmts(then_b)?;
                 let (else_s, r2) = self.lower_stmts(else_b)?;
                 let s = self.lower_cond(c, then_s, else_s)?;
-                Ok((s, r1 || r2))
+                Ok((s, r1.or(r2)))
             }
             CStmt::While(c, body) => self.lower_loop(c, body, None),
             CStmt::For(init, c, step, body) => {
@@ -606,7 +642,7 @@ impl Lowerer<'_> {
                 let (loop_s, r) = self.lower_loop(c, body, Some(step))?;
                 Ok((Stmt::seq(vec![init_s, loop_s]), r))
             }
-            CStmt::Return(val) => {
+            CStmt::Return(val, line) => {
                 self.has_early_return = true;
                 let mut out = Vec::new();
                 if let Some(e) = val {
@@ -618,32 +654,38 @@ impl Lowerer<'_> {
                     out.push(Stmt::Assign("%ret".into(), v));
                 }
                 out.push(Stmt::Assign("%returned".into(), Expr::Int(1)));
-                Ok((Stmt::seq(out), true))
+                Ok((Stmt::seq(out), Some(*line)))
             }
             CStmt::Expr(e) => match e {
                 CExpr::Call(name, args, line) => {
                     let (mut pre, call, _) = self.lower_call(name, args, *line, false)?;
                     pre.push(call);
-                    Ok((Stmt::seq(pre), false))
+                    Ok((Stmt::seq(pre), None))
                 }
                 other => {
                     // Evaluate for side effects (dereference assertions).
                     let (pre, _) = self.lower_expr(other)?;
-                    Ok((Stmt::seq(pre), false))
+                    Ok((Stmt::seq(pre), None))
                 }
             },
             CStmt::Switch(scrutinee, arms) => {
                 // Lower to an if/else-if chain on a snapshot of the
-                // scrutinee (evaluated once, like C).
+                // scrutinee (evaluated once, like C). Arm i sits under
+                // the tests of arms 0..=i.
                 let (mut pre, sv) = self.lower_expr(scrutinee)?;
                 let snap = self.fresh_temp(CType::Int);
                 pre.push(Stmt::Assign(snap.clone(), sv));
+                let outer = self.guards;
+                if let Some((_, line, _)) = arms.get(MAX_NESTED_GUARDS - outer) {
+                    return too_many_guards(*line);
+                }
                 let mut chain = Stmt::Skip;
-                let mut may_return = false;
+                let mut may_return = None;
                 // Default arm(s) form the innermost else.
-                for (label, body) in arms.iter().rev() {
+                for (i, (label, _, body)) in arms.iter().enumerate().rev() {
+                    self.guards = outer + i + 1;
                     let (body_s, r) = self.lower_stmts(body)?;
-                    may_return |= r;
+                    may_return = may_return.or(r);
                     chain = match label {
                         None => body_s,
                         Some(k) => Stmt::ite(
@@ -653,6 +695,7 @@ impl Lowerer<'_> {
                         ),
                     };
                 }
+                self.guards = outer;
                 pre.push(chain);
                 Ok((Stmt::seq(pre), may_return))
             }
@@ -671,7 +714,7 @@ impl Lowerer<'_> {
                         Box::new(Expr::Int(1)),
                     ),
                 ));
-                Ok((Stmt::seq(pre), false))
+                Ok((Stmt::seq(pre), None))
             }
         }
     }
@@ -684,7 +727,7 @@ impl Lowerer<'_> {
         cond: &CExpr,
         body: &[CStmt],
         step: Option<&CStmt>,
-    ) -> Result<(Stmt, bool), LowerError> {
+    ) -> Result<(Stmt, Option<u32>), LowerError> {
         let cont = self.fresh_temp(CType::Int);
         let (mut body_s, may_return) = self.lower_stmts(body)?;
         if let Some(step) = step {
@@ -692,7 +735,7 @@ impl Lowerer<'_> {
             // A `return` inside the body must skip the step too; the
             // remainder-guard inside `lower_stmts` handles statements, so
             // guard the step likewise.
-            let step_s = if may_return {
+            let step_s = if may_return.is_some() {
                 Stmt::ite(
                     Formula::eq(Expr::var("%returned"), Expr::Int(0)),
                     step_s,
@@ -703,7 +746,7 @@ impl Lowerer<'_> {
             };
             body_s = Stmt::seq(vec![body_s, step_s]);
         }
-        if may_return {
+        if may_return.is_some() {
             body_s = Stmt::seq(vec![
                 body_s,
                 Stmt::ite(
@@ -722,5 +765,55 @@ impl Lowerer<'_> {
             Stmt::seq(vec![Stmt::Assign(cont, Expr::Int(1)), w]),
             may_return,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{compile_c, CompileError};
+
+    #[test]
+    fn guards_nest_up_to_the_cap() {
+        let returns = |n: usize| {
+            let body: String = (0..n)
+                .map(|i| format!("  if (x == {i}) {{ return {i}; }}\n"))
+                .collect();
+            format!("int f(int x) {{\n{body}  return -1;\n}}\n")
+        };
+        let cases = |n: usize| {
+            let arms: String = (0..n)
+                .map(|i| format!("  case {i}: return {i};\n"))
+                .collect();
+            format!("int f(int x) {{\n  switch (x) {{\n{arms}  }}\n  return -1;\n}}\n")
+        };
+        // (shape, the cap's worth, one more, line of the first one)
+        let shapes = [
+            (
+                "early returns",
+                returns(MAX_NESTED_GUARDS),
+                returns(MAX_NESTED_GUARDS + 1),
+                2,
+            ),
+            (
+                "switch cases",
+                cases(MAX_NESTED_GUARDS),
+                cases(MAX_NESTED_GUARDS + 1),
+                3,
+            ),
+        ];
+        for (shape, at_cap, past_cap, first) in shapes {
+            assert!(
+                compile_c(&at_cap).is_ok(),
+                "{MAX_NESTED_GUARDS} {shape} must lower"
+            );
+            match compile_c(&past_cap) {
+                Err(CompileError::Lower(e)) => {
+                    assert_eq!(e.line as usize, first + MAX_NESTED_GUARDS, "{shape}: {e}");
+                    assert!(e.msg.contains("guards deep"), "{shape}: {e}");
+                }
+                other => panic!("one {shape} past the cap must be rejected: {other:?}"),
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use acspec_vcgen::analyzer::ProcAnalyzer;
 
 use crate::config::{AcspecOptions, MAX_COVER_CLAUSES};
 use crate::report::AnalysisIncident;
-use crate::session::isolated;
+use crate::session::{isolated, spawn_worker};
 
 /// Result of the inference pass.
 #[derive(Debug, Clone)]
@@ -127,10 +127,16 @@ pub fn infer_preconditions(program: &Program, opts: &AcspecOptions) -> InferredC
         if proc.contract.requires != Formula::True {
             continue; // respect user-provided contracts
         }
-        let spec = isolated(&name, || {
-            let d = desugar_procedure(&out, proc, DesugarOptions::default())?;
-            let mut az = ProcAnalyzer::new(&d, opts.analyzer)?;
-            Ok(adoptable_precondition(&d, &mut az))
+        let spec = std::thread::scope(|scope| {
+            spawn_worker(scope, || {
+                isolated(&name, || {
+                    let d = desugar_procedure(&out, proc, DesugarOptions::default())?;
+                    let mut az = ProcAnalyzer::new(&d, opts.analyzer)?;
+                    Ok(adoptable_precondition(&d, &mut az))
+                })
+            })
+            .join()
+            .expect("isolation catches every panic")
         });
         match spec {
             Ok(Some(spec)) => {

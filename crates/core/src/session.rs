@@ -48,14 +48,13 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
-use acspec_ir::arena::TermStats;
 use acspec_ir::desugar::{desugar_procedure, DesugarOptions, DesugaredProc};
 use acspec_ir::expr::{Atom, Formula};
 use acspec_ir::program::{Procedure, Program};
 use acspec_ir::stmt::{AssertId, Stmt};
 use acspec_predabs::clause::{clauses_to_formula, QClause};
 use acspec_predabs::cover::{predicate_cover_salvaging, Cover};
-use acspec_predabs::mine::mine_predicates_interned;
+use acspec_predabs::mine::mine_predicates;
 use acspec_predabs::normalize::{normalize, prune_clauses, PruneConfig, MAX_PREDICATES};
 use acspec_smt::{SearchSummary, SolverCounters, TermId};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer, QueryOutcome, Selector};
@@ -142,10 +141,6 @@ pub struct StageEvent {
     /// no [`ChaosConfig`](acspec_vcgen::chaos::ChaosConfig) is
     /// installed). Telemetry only, like `cache`.
     pub chaos: ChaosStats,
-    /// Term-arena counter deltas for this stage run (interned nodes,
-    /// intern hits, memo hits per transformer; all zero for stages that
-    /// never touch the arena). Telemetry only, like `cache`.
-    pub terms: TermStats,
 }
 
 /// One completed solver query, for [`SessionObserver`]s that opt in via
@@ -401,7 +396,6 @@ impl ProcSession {
             smt: SolverCounters::default(),
             cache: CacheStats::default(),
             chaos: ChaosStats::default(),
-            terms: az.term_stats(),
         }];
         Ok(ProcSession {
             proc_name: proc.name.clone(),
@@ -498,10 +492,10 @@ impl ProcSession {
 
     /// The one ledger: runs `f` as one run of `stage` for `label` and
     /// appends its [`StageEvent`]. The run's wall time is measured here;
-    /// its query, SMT, cache, chaos and term-arena figures are the
-    /// deltas of the analyzer's running totals across `f`; its query
-    /// records are tagged with the run; and a fault becomes a
-    /// [`StageError`] naming `stage`.
+    /// its query, SMT, cache and chaos figures are the deltas of the
+    /// analyzer's running totals across `f`; its query records are
+    /// tagged with the run; and a fault becomes a [`StageError`] naming
+    /// `stage`.
     fn staged<T>(
         &mut self,
         stage: Stage,
@@ -514,7 +508,6 @@ impl ProcSession {
         let smt = self.az.query_counters();
         let cache = self.az.cache_stats();
         let chaos = self.az.chaos_stats();
-        let terms = self.az.term_stats();
         let out = f(self);
         let seconds = wall.elapsed().as_secs_f64();
         let seq = self.stage_seq;
@@ -544,7 +537,6 @@ impl ProcSession {
             smt: self.az.query_counters().since(&smt),
             cache: self.az.cache_stats().since(&cache),
             chaos: self.az.chaos_stats().since(&chaos),
-            terms: self.az.term_stats().since(&terms),
         });
         out.map_err(|reason| StageError { stage, reason })
     }
@@ -709,16 +701,7 @@ impl ProcSession {
         let label = Some(ReportLabel::Config(opts.config));
         let abstraction = opts.config.abstraction();
         self.staged(Stage::Mine, label, |s| {
-            // Mine through the session's term arena: the four
-            // configurations share most of their (atom, assignment)
-            // pairs, so later configs replay the substitution/atom
-            // memos instead of recomputing.
-            let ProcSession { az, desugared, .. } = s;
-            Ok(mine_predicates_interned(
-                az.arena_mut(),
-                desugared,
-                abstraction,
-            ))
+            Ok(mine_predicates(&s.desugared, abstraction))
         })
         .expect("mining issues no queries")
     }
@@ -1695,44 +1678,37 @@ impl<'p> ProgramAnalysis<'p> {
         let record_queries = observer.wants_queries();
         let record_search = observer.wants_search();
 
-        let results: Vec<ProcOutcome> = if threads <= 1 {
-            defined
-                .iter()
-                .map(|p| self.analyze_one_isolated(p, record_queries, record_search))
-                .collect()
-        } else {
-            // Longest procedures first, so the heaviest one (e.g. Drv7)
-            // never lands on a worker last and dominates tail latency.
-            // Results land in per-procedure-index slots regardless of
-            // service order, so output is byte-identical to sequential.
-            let order = schedule_longest_first(&defined);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<ProcOutcome>>> = (0..defined.len())
-                .map(|_| std::sync::Mutex::new(None))
-                .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if k >= order.len() {
-                            break;
-                        }
-                        let i = order[k];
-                        let result =
-                            self.analyze_one_isolated(defined[i], record_queries, record_search);
-                        *slots[i].lock().expect("no poisoning") = Some(result);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("no poisoning")
-                        .expect("worker filled slot")
-                })
-                .collect()
-        };
+        // Longest procedures first, so the heaviest one (e.g. Drv7)
+        // never lands on a worker last and dominates tail latency.
+        // Results land in per-procedure-index slots regardless of
+        // service order, so output is the same at any thread count.
+        let order = schedule_longest_first(&defined);
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let slots: Vec<std::sync::Mutex<Option<ProcOutcome>>> = (0..defined.len())
+            .map(|_| std::sync::Mutex::new(None))
+            .collect();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                spawn_worker(scope, || loop {
+                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if k >= order.len() {
+                        break;
+                    }
+                    let i = order[k];
+                    let result =
+                        self.analyze_one_isolated(defined[i], record_queries, record_search);
+                    *slots[i].lock().expect("no poisoning") = Some(result);
+                });
+            }
+        });
+        let results: Vec<ProcOutcome> = slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .expect("no poisoning")
+                    .expect("worker filled slot")
+            })
+            .collect();
 
         let mut out = Vec::with_capacity(results.len());
         for outcome in results {
@@ -1773,6 +1749,25 @@ impl<'p> ProgramAnalysis<'p> {
         }
         out
     }
+}
+
+/// Stack size of every analysis worker. Desugaring, encoding, mining
+/// and dropping a body recurse over its nesting, which the parsers
+/// bound at 256 levels and C lowering at 400 guards more. A body at
+/// both bounds needs 7 MiB to encode in a debug build and 2 MiB, a
+/// spawned thread's default, in a release build; this is nine times the
+/// debug figure. Untouched stack pages cost no memory.
+const WORKER_STACK_BYTES: usize = 64 << 20;
+
+/// Spawns an analysis worker with [`WORKER_STACK_BYTES`] of stack.
+pub(crate) fn spawn_worker<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    work: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK_BYTES)
+        .spawn_scoped(scope, work)
+        .expect("the OS starts an analysis worker")
 }
 
 /// Dispatch order for the work queue: procedure indices sorted by
@@ -2021,35 +2016,5 @@ mod tests {
             .chain(prog.procedures.iter().filter(|p| p.name == "tiny"))
             .collect();
         assert_eq!(schedule_longest_first(&ties), vec![0, 1]);
-    }
-
-    #[test]
-    fn mine_stage_reports_term_activity() {
-        let prog = parse_program(FIGURE1).expect("parses");
-        let proc = prog.procedures[0].clone();
-        let mut session =
-            ProcSession::new(&prog, &proc, AnalyzerConfig::default()).expect("encodes");
-        for config in ConfigName::all() {
-            let opts = AcspecOptions::for_config(config);
-            let q = session.mine(&opts);
-            assert!(!q.is_empty());
-        }
-        let events = session.take_events();
-        let mine_events: Vec<&StageEvent> =
-            events.iter().filter(|e| e.stage == Stage::Mine).collect();
-        assert_eq!(mine_events.len(), ConfigName::all().len());
-        assert!(
-            mine_events.iter().all(|e| e.terms.any()),
-            "every mine stage interns into the session arena"
-        );
-        assert!(
-            mine_events[1..].iter().any(|e| e.terms.memo_hits() > 0),
-            "later configurations reuse memoized transforms"
-        );
-        // Stages that never touch the arena report a zero delta.
-        assert!(events
-            .iter()
-            .filter(|e| e.stage == Stage::Encode)
-            .all(|e| !e.terms.any()));
     }
 }

@@ -224,18 +224,6 @@ impl SessionObserver for TelemetryObserver {
             self.metrics.inc("chaos.latencies", event.chaos.latencies);
             self.metrics.inc("chaos.panics", event.chaos.panics);
         }
-        // Likewise for the term arena: stages that never intern keep
-        // prior metric snapshots unchanged.
-        if event.terms.any() {
-            let t = &event.terms;
-            self.metrics.inc("terms.interned_nodes", t.interned_nodes);
-            self.metrics.inc("terms.intern_hits", t.intern_hits);
-            self.metrics.inc("terms.memo_hits", t.memo_hits());
-            self.metrics.inc("terms.subst_hits", t.subst_hits);
-            self.metrics.inc("terms.atoms_hits", t.atoms_hits);
-            self.metrics.inc("terms.translate_hits", t.translate_hits);
-            self.metrics.inc("terms.bytes_saved", t.bytes_saved());
-        }
     }
 
     fn incident_recorded(&mut self, incident: &AnalysisIncident) {

@@ -6,7 +6,9 @@
 //! * a single shared [`ProcSession`] running `Cons` plus every
 //!   configuration and prune variant agrees with fresh per-config shim
 //!   calls on the paper's example programs — sharing one encode and one
-//!   incremental solver does not change any verdict.
+//!   incremental solver does not change any verdict;
+//! * the report JSON (statistics zeroed) is a pure function of the
+//!   program: two runs are byte-identical.
 
 use proptest::prelude::*;
 
@@ -78,6 +80,34 @@ proptest! {
                 // The single-variant paths issue the same query sequence,
                 // so even witnesses must agree exactly.
                 prop_assert_eq!(&single.warnings, &multi[0].warnings);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    #[test]
+    fn reports_are_a_pure_function_of_the_program(seed in 0u64..10_000) {
+        let bm = acspec_benchgen::drivers::generate(
+            "pure", seed, 2, acspec_benchgen::drivers::PatternMix::default(),
+        );
+        let prune = [PruneConfig::default()];
+        for proc in bm.program.procedures.iter().filter(|p| p.body.is_some()).take(2) {
+            for config in [ConfigName::Conc, ConfigName::A2] {
+                let opts = AcspecOptions::for_config(config);
+                let a = analyze_procedure_multi(&bm.program, proc, &opts, &prune)
+                    .expect("analyzes");
+                let b = analyze_procedure_multi(&bm.program, proc, &opts, &prune)
+                    .expect("analyzes");
+                prop_assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    let mut x = x.clone();
+                    let mut y = y.clone();
+                    x.stats = acspec_core::ProcStats::default();
+                    y.stats = acspec_core::ProcStats::default();
+                    prop_assert_eq!(x.to_json(), y.to_json(), "nondeterministic report");
+                }
             }
         }
     }

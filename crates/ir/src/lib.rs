@@ -34,7 +34,6 @@
 //! assert_eq!(program.procedures.len(), 1);
 //! ```
 
-pub mod arena;
 pub mod desugar;
 pub mod expr;
 pub mod interp;
@@ -45,7 +44,6 @@ pub mod program;
 pub mod stmt;
 pub mod typecheck;
 
-pub use arena::{TermArena, TermStats};
 pub use desugar::{desugar_procedure, DesugarOptions, DesugaredProc};
 pub use expr::{Atom, Expr, Formula, NuConst, RelOp};
 pub use locs::{enumerate_locations, LocId, LocKind, LocMeta};

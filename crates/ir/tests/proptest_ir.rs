@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) for the IR crate: expression
 //! simplification is semantics-preserving, atom canonicalization is
 //! involution-stable, and the parser round-trips pretty-printed
-//! expressions and formulas.
+//! expressions and formulas — parsed source text, map reads and writes
+//! included, structurally.
 
 use proptest::prelude::*;
 
@@ -49,6 +50,40 @@ fn formula_strategy() -> impl Strategy<Value = Formula> {
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| Formula::Implies(Box::new(a), Box::new(b))),
             (inner.clone(), inner).prop_map(|(a, b)| Formula::Iff(Box::new(a), Box::new(b))),
+        ]
+    })
+}
+
+/// Integer-valued source text, map reads and `write(m, a, b)[a]`
+/// included.
+fn int_src_strategy() -> impl Strategy<Value = String> {
+    let leaf = prop_oneof![
+        (0usize..3).prop_map(|i| VARS[i].to_string()),
+        (0i64..10).prop_map(|n| n.to_string()),
+    ];
+    leaf.prop_recursive(2, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} + {b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} - {b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} * {b})")),
+            inner.clone().prop_map(|a| format!("m[{a}]")),
+            (inner.clone(), inner).prop_map(|(a, b)| format!("write(m, {a}, {b})[{a}]")),
+        ]
+    })
+}
+
+/// Formula source text over every connective the parser accepts.
+fn formula_src_strategy() -> impl Strategy<Value = String> {
+    let ops = prop::sample::select(vec!["==", "!=", "<", "<=", ">", ">="]);
+    let atom = (int_src_strategy(), ops, int_src_strategy())
+        .prop_map(|(a, op, b)| format!("{a} {op} {b}"));
+    atom.prop_recursive(3, 24, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} && {b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} || {b})")),
+            inner.clone().prop_map(|a| format!("!({a})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} ==> {b})")),
+            (inner.clone(), inner).prop_map(|(a, b)| format!("({a} <==> {b})")),
         ]
     })
 }
@@ -144,6 +179,17 @@ proptest! {
                 "mismatch for `{}` at {:?}", printed, vals
             );
         }
+    }
+
+    #[test]
+    fn parsed_formula_pretty_prints_to_itself(src in formula_src_strategy()) {
+        // A parsed formula survives print-then-parse structurally: the
+        // printer brackets exactly what the parser needs.
+        let f = parse_formula(&src).unwrap_or_else(|err| panic!("`{src}`: {err}"));
+        let printed = f.to_string();
+        let reparsed = parse_formula(&printed)
+            .unwrap_or_else(|err| panic!("`{printed}` failed to re-parse: {err}"));
+        prop_assert_eq!(reparsed, f, "`{}` printed as `{}`", src, printed);
     }
 
     #[test]

@@ -85,8 +85,6 @@ pub fn predicate_cover_salvaging(
     salvage: &mut Option<Cover>,
 ) -> Result<Cover, FaultReason> {
     // Indicator per predicate: b_i ⇔ ⟦q_i⟧ over the input environment.
-    // Translation goes through the session arena, so a predicate shared
-    // across configurations is interned and encoded once.
     let indicators: Vec<TermId> = q
         .iter()
         .map(|atom| {

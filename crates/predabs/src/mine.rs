@@ -4,7 +4,6 @@
 
 use std::collections::BTreeSet;
 
-use acspec_ir::arena::TermArena;
 use acspec_ir::desugar::DesugaredProc;
 use acspec_ir::expr::{Atom, Expr};
 use acspec_ir::stmt::{BranchCond, Stmt};
@@ -33,58 +32,18 @@ impl Abstraction {
 /// given abstraction: `Preds(body, {})` filtered to the environment
 /// vocabulary (parameters, globals, and — unless havoc-returns is on —
 /// ν-constants).
-///
-/// Runs over a scratch [`TermArena`]; pass a session-scoped arena to
-/// [`mine_predicates_interned`] to share substitution/atom memos across
-/// the four configurations.
 pub fn mine_predicates(proc: &DesugaredProc, abs: Abstraction) -> Vec<Atom> {
-    let mut arena = TermArena::new();
-    mine_predicates_interned(&mut arena, proc, abs)
-}
-
-/// [`mine_predicates`] over a caller-supplied arena. The `Preds`
-/// transformer's hot loop — substitute an assignment into every collected
-/// atom, then re-collect atoms — is memoized by interned ids, so the four
-/// abstraction configurations (which share most of their atom sets) reuse
-/// each other's work.
-pub fn mine_predicates_interned(
-    arena: &mut TermArena,
-    proc: &DesugaredProc,
-    abs: Abstraction,
-) -> Vec<Atom> {
-    let q = preds_interned(arena, &proc.body, BTreeSet::new(), abs);
-    filter_to_vocabulary(q, proc, abs)
-}
-
-/// The historical tree-based miner, kept as the equivalence oracle for
-/// the interned path (pinned by tests).
-pub fn mine_predicates_reference(proc: &DesugaredProc, abs: Abstraction) -> Vec<Atom> {
-    let q = preds(&proc.body, BTreeSet::new(), abs);
-    filter_to_vocabulary(q, proc, abs)
-}
-
-fn filter_to_vocabulary(q: BTreeSet<Atom>, proc: &DesugaredProc, abs: Abstraction) -> Vec<Atom> {
     let input_vars: BTreeSet<&str> = proc.inputs.iter().map(String::as_str).collect();
-    let mut out: Vec<Atom> = q
+    // The set iterates sorted and without duplicates.
+    preds(&proc.body, BTreeSet::new(), abs)
         .into_iter()
         .filter(|a| {
-            // Only environment vocabulary.
-            if !a
-                .free_vars()
+            a.free_vars()
                 .iter()
                 .all(|v| input_vars.contains(v.as_str()))
-            {
-                return false;
-            }
-            if abs.havoc_returns && !a.nu_consts().is_empty() {
-                return false;
-            }
-            true
         })
-        .collect();
-    out.sort();
-    out.dedup();
-    out
+        .filter(|a| !abs.havoc_returns || a.nu_consts().is_empty())
+        .collect()
 }
 
 /// The `Preds(s, Q)` transformer of §4.4.1.
@@ -122,69 +81,6 @@ fn preds(s: &Stmt, q: BTreeSet<Atom>, abs: Abstraction) -> BTreeSet<Atom> {
             if let BranchCond::Det(c) = cond {
                 if !abs.ignore_conditionals {
                     out.extend(c.atoms());
-                }
-            }
-            out
-        }
-        Stmt::Call { .. } | Stmt::While { .. } => {
-            unreachable!("predicate mining requires a core body")
-        }
-    }
-}
-
-/// `Preds(s, Q)` over a hash-consed arena. Identical to [`preds`] by
-/// construction: [`TermArena::subst`] replicates the raw tree
-/// substitution and [`TermArena::atoms`] delegates to
-/// [`acspec_ir::Formula::atoms`]; both are memoized by interned id, so
-/// the repeated `(atom, assignment)` pairs hit the memo after the first
-/// configuration.
-fn preds_interned(
-    arena: &mut TermArena,
-    s: &Stmt,
-    q: BTreeSet<Atom>,
-    abs: Abstraction,
-) -> BTreeSet<Atom> {
-    match s {
-        Stmt::Skip => q,
-        Stmt::Assume(f) | Stmt::Assert { cond: f, .. } => {
-            let mut q = q;
-            let fid = arena.intern_formula(f);
-            q.extend(arena.atoms(fid));
-            q
-        }
-        Stmt::Assign(x, e) => {
-            if abs.havoc_returns && matches!(e, Expr::Nu(_)) {
-                // Treated as `havoc x`.
-                return drop_var(q, x);
-            }
-            // Atoms(Q[e/x]): substitute into each atom and re-collect;
-            // both steps are per-id memo lookups after the first time a
-            // given (atom, assignment) pair is seen.
-            let eid = arena.intern_expr(e);
-            let mut out = BTreeSet::new();
-            for a in q {
-                let fid = arena.intern_formula(&a.to_formula());
-                let sub = arena.subst(fid, x, eid);
-                out.extend(arena.atoms(sub));
-            }
-            out
-        }
-        Stmt::Havoc(x) => drop_var(q, x),
-        Stmt::Seq(ss) => ss
-            .iter()
-            .rev()
-            .fold(q, |acc, s| preds_interned(arena, s, acc, abs)),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let mut out = preds_interned(arena, then_branch, q.clone(), abs);
-            out.extend(preds_interned(arena, else_branch, q, abs));
-            if let BranchCond::Det(c) = cond {
-                if !abs.ignore_conditionals {
-                    let cid = arena.intern_formula(c);
-                    out.extend(arena.atoms(cid));
                 }
             }
             out
@@ -361,61 +257,6 @@ mod tests {
             q.is_empty(),
             "uninitialized-local atoms are not inputs: {q:?}"
         );
-    }
-
-    #[test]
-    fn interned_miner_matches_reference_and_shares_across_configs() {
-        let srcs = [
-            "global Freed: map;
-             procedure f(c: int, buf: int, cmd: int) {
-               if (cmd == 1) {
-                 assert Freed[c] == 0; Freed[c] := 1;
-               }
-               assert Freed[buf] == 0; Freed[buf] := 1;
-               assert Freed[c] == 0;
-             }",
-            "procedure ext() returns (r: int);
-             procedure f(x: int, y: int) {
-               var r: int;
-               call r := ext();
-               y := x + r;
-               if (x < y) { assert y != 0; } else { havoc x; assert r != 0; }
-             }",
-        ];
-        let all_abs = [
-            Abstraction::concrete(),
-            Abstraction {
-                ignore_conditionals: true,
-                havoc_returns: false,
-            },
-            Abstraction {
-                ignore_conditionals: false,
-                havoc_returns: true,
-            },
-            Abstraction {
-                ignore_conditionals: true,
-                havoc_returns: true,
-            },
-        ];
-        for src in srcs {
-            let prog = parse_program(src).expect("parses");
-            let proc = prog.procedures.last().expect("proc").clone();
-            let d = desugar_procedure(&prog, &proc, DesugarOptions::default()).expect("desugars");
-            // One session arena shared across all four configurations.
-            let mut arena = TermArena::new();
-            for abs in all_abs {
-                assert_eq!(
-                    mine_predicates_interned(&mut arena, &d, abs),
-                    mine_predicates_reference(&d, abs),
-                    "src={src} abs={abs:?}"
-                );
-            }
-            let stats = arena.stats();
-            assert!(
-                stats.memo_hits() > 0,
-                "later configs must reuse memoized work: {stats:?}"
-            );
-        }
     }
 
     #[test]

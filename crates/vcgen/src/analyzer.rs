@@ -22,7 +22,6 @@
 
 use std::collections::BTreeSet;
 
-use acspec_ir::arena::{TermArena, TermId as IrTermId, TermStats};
 use acspec_ir::desugar::DesugaredProc;
 use acspec_ir::expr::Formula;
 use acspec_ir::locs::{enumerate_locations, LocId};
@@ -34,7 +33,7 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::chaos::{ChaosConfig, ChaosFault, ChaosSolver, ChaosStats};
 use crate::evidence::CertStore;
 use crate::stage::{Budget, Deadline, FaultReason};
-use crate::translate::{expr_to_term, formula_to_term, interned_to_term, Env, TranslateError};
+use crate::translate::{expr_to_term, formula_to_term, Env, TranslateError};
 
 /// A selector literal standing for an installed environment specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -220,14 +219,6 @@ pub struct ProcAnalyzer {
     /// the query — identical whether or not the cache pruned earlier
     /// queries.
     base_asserts: Vec<TermId>,
-    /// Session-scoped hash-consing arena for IR-level formulas: every
-    /// specification/predicate translated through this analyzer is
-    /// interned here, so repeated subterms across configurations and
-    /// ALL-SAT rounds share ids (and memoized work).
-    arena: TermArena,
-    /// Memoized IR-term → solver-term translation against the fixed
-    /// `input_env` (sound: the environment never changes post-encode).
-    xlate_memo: std::collections::HashMap<IrTermId, TermId>,
     /// Per-claim certificate store with its proof-logging replay solver
     /// (`None` until [`ProcAnalyzer::enable_certs`]). The replay solver
     /// sees only the base assertion stream, guarded blocking clauses
@@ -343,8 +334,6 @@ impl ProcAnalyzer {
             selector_memo: std::collections::HashMap::new(),
             witness_memo: std::collections::HashMap::new(),
             base_asserts,
-            arena: TermArena::new(),
-            xlate_memo: std::collections::HashMap::new(),
             certs: None,
         })
     }
@@ -524,53 +513,19 @@ impl ProcAnalyzer {
     /// Returns a [`TranslateError`] if the formula refers to names outside
     /// the input vocabulary.
     pub fn add_selector(&mut self, spec: &Formula) -> Result<Selector, TranslateError> {
-        let fid = self.arena.intern_formula(spec);
-        let body = self.translate_interned(fid)?;
+        let body = formula_to_term(&mut self.ctx, &self.input_env, spec)?;
         Ok(self.add_selector_term(body))
     }
 
-    /// The session's hash-consing arena (predicates, specifications, and
-    /// mined formulas intern here so memoized transforms are shared
-    /// across stages and configurations).
-    pub fn arena_mut(&mut self) -> &mut TermArena {
-        &mut self.arena
-    }
-
-    /// Arena instrumentation (intern counts, memo hits per transformer),
-    /// including the analyzer-owned translation memo.
-    pub fn term_stats(&self) -> TermStats {
-        self.arena.stats()
-    }
-
-    /// Translates an interned formula/expression to a solver term against
-    /// the fixed input environment, memoized per interned id: each shared
-    /// subterm is walked once per session.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] if the term refers to names outside
-    /// the input vocabulary.
-    pub fn translate_interned(&mut self, t: IrTermId) -> Result<TermId, TranslateError> {
-        interned_to_term(
-            &mut self.ctx,
-            &self.input_env,
-            &mut self.arena,
-            t,
-            &mut self.xlate_memo,
-        )
-    }
-
-    /// Interns a formula and installs an indicator for its translation
-    /// (see [`ProcAnalyzer::add_indicator`]); the translation is memoized
-    /// against the session arena.
+    /// Translates a formula over the input environment and installs an
+    /// indicator for it (see [`ProcAnalyzer::add_indicator`]).
     ///
     /// # Errors
     ///
     /// Returns a [`TranslateError`] if the formula refers to names outside
     /// the input vocabulary.
     pub fn add_indicator_formula(&mut self, f: &Formula) -> Result<TermId, TranslateError> {
-        let fid = self.arena.intern_formula(f);
-        let body = self.translate_interned(fid)?;
+        let body = formula_to_term(&mut self.ctx, &self.input_env, f)?;
         Ok(self.add_indicator(body))
     }
 

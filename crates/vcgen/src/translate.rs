@@ -1,8 +1,7 @@
 //! Translation from IR expressions/formulas to solver terms.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use acspec_ir::arena::{Node, TermArena, TermId as IrTermId};
 use acspec_ir::expr::{Expr, Formula, NuConst, RelOp};
 use acspec_smt::term::{Term, TermSort};
 use acspec_smt::{Ctx, TermId};
@@ -175,159 +174,6 @@ pub fn formula_to_term(ctx: &mut Ctx, env: &Env, f: &Formula) -> Result<TermId, 
     }
 }
 
-/// Translates an interned IR term (expression or formula) to a solver
-/// term under `env`, memoized per [`IrTermId`] so each shared subterm is
-/// encoded once per session.
-///
-/// Produces the same solver term as [`expr_to_term`]/[`formula_to_term`]
-/// on the externalized tree: the solver [`Ctx`] hash-conses its own
-/// terms, so the memo changes only how much tree is walked, never which
-/// [`TermId`] comes back. Memoization is sound because `env` is the
-/// fixed per-session input environment (PR 1's one-encode design): a
-/// given interned term always translates to the same solver term.
-///
-/// # Errors
-///
-/// Returns [`TranslateError`] for unbound names or stray `old(..)`.
-pub fn interned_to_term(
-    ctx: &mut Ctx,
-    env: &Env,
-    arena: &mut TermArena,
-    t: IrTermId,
-    memo: &mut HashMap<IrTermId, TermId>,
-) -> Result<TermId, TranslateError> {
-    if let Some(&out) = memo.get(&t) {
-        arena.note_translate(true);
-        return Ok(out);
-    }
-    let node = arena.node(t).clone();
-    let out = match node {
-        Node::Var(s) => {
-            let name = arena.sym_name(s).to_string();
-            env.vars
-                .get(&name)
-                .copied()
-                .ok_or(TranslateError::UnboundVar(name))?
-        }
-        Node::Nu(n) => {
-            let nu = arena.nu_const(n).clone();
-            env.nus
-                .get(&nu)
-                .copied()
-                .ok_or_else(|| TranslateError::UnboundNu(nu.to_string()))?
-        }
-        Node::Int(n) => ctx.mk_int(n),
-        Node::App(f, args) => {
-            let ts: Result<Vec<TermId>, _> = args
-                .iter()
-                .map(|&a| interned_to_term(ctx, env, arena, a, memo))
-                .collect();
-            let name = format!("uf:{}", arena.sym_name(f));
-            ctx.mk_app(name, ts?)
-        }
-        Node::Add(a, b) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            ctx.mk_add(vec![ta, tb])
-        }
-        Node::Sub(a, b) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            ctx.mk_sub(ta, tb)
-        }
-        Node::Mul(a, b) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            if let Term::IntConst(c) = *ctx.term(ta) {
-                ctx.mk_mulc(c, tb)
-            } else if let Term::IntConst(c) = *ctx.term(tb) {
-                ctx.mk_mulc(c, ta)
-            } else {
-                // Non-linear: uninterpreted.
-                ctx.mk_app("mul", vec![ta, tb])
-            }
-        }
-        Node::Neg(a) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            ctx.mk_mulc(-1, ta)
-        }
-        Node::Read(m, i) => {
-            let tm = interned_to_term(ctx, env, arena, m, memo)?;
-            let ti = interned_to_term(ctx, env, arena, i, memo)?;
-            ctx.mk_read(tm, ti)
-        }
-        Node::Write(m, i, v) => {
-            let tm = interned_to_term(ctx, env, arena, m, memo)?;
-            let ti = interned_to_term(ctx, env, arena, i, memo)?;
-            let tv = interned_to_term(ctx, env, arena, v, memo)?;
-            ctx.mk_write(tm, ti, tv)
-        }
-        Node::IteE(c, a, b) => {
-            let tc = interned_to_term(ctx, env, arena, c, memo)?;
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            ctx.mk_ite(tc, ta, tb)
-        }
-        Node::Old(_) => return Err(TranslateError::UnexpectedOld),
-        Node::True => ctx.mk_bool(true),
-        Node::False => ctx.mk_bool(false),
-        Node::Rel(op, a, b) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            // Map-sorted equality is fine; orderings require ints (the IR
-            // typechecker enforces this upstream).
-            match op {
-                RelOp::Eq => {
-                    if ctx.sort(ta) == TermSort::Bool {
-                        ctx.mk_iff(ta, tb)
-                    } else {
-                        ctx.mk_eq(ta, tb)
-                    }
-                }
-                RelOp::Ne => {
-                    let e = ctx.mk_eq(ta, tb);
-                    ctx.mk_not(e)
-                }
-                RelOp::Lt => ctx.mk_lt(ta, tb),
-                RelOp::Le => ctx.mk_le(ta, tb),
-                RelOp::Gt => ctx.mk_lt(tb, ta),
-                RelOp::Ge => ctx.mk_le(tb, ta),
-            }
-        }
-        Node::Not(g) => {
-            let tg = interned_to_term(ctx, env, arena, g, memo)?;
-            ctx.mk_not(tg)
-        }
-        Node::And(fs) => {
-            let ts: Result<Vec<TermId>, _> = fs
-                .iter()
-                .map(|&g| interned_to_term(ctx, env, arena, g, memo))
-                .collect();
-            ctx.mk_and(ts?)
-        }
-        Node::Or(fs) => {
-            let ts: Result<Vec<TermId>, _> = fs
-                .iter()
-                .map(|&g| interned_to_term(ctx, env, arena, g, memo))
-                .collect();
-            ctx.mk_or(ts?)
-        }
-        Node::Implies(a, b) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            ctx.mk_implies(ta, tb)
-        }
-        Node::Iff(a, b) => {
-            let ta = interned_to_term(ctx, env, arena, a, memo)?;
-            let tb = interned_to_term(ctx, env, arena, b, memo)?;
-            ctx.mk_iff(ta, tb)
-        }
-    };
-    memo.insert(t, out);
-    arena.note_translate(false);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,30 +210,6 @@ mod tests {
             formula_to_term(&mut ctx, &env, &f),
             Err(TranslateError::UnboundVar("x".into()))
         );
-    }
-
-    #[test]
-    fn interned_translation_matches_tree_translation() {
-        let mut ctx = Ctx::new();
-        let env = env_with(&mut ctx, &["c", "buf", "cmd", "x", "y"], &["Freed", "m"]);
-        let mut arena = TermArena::new();
-        let mut memo = HashMap::new();
-        for src in [
-            "Freed[c] == 0 && Freed[buf] == 0",
-            "write(Freed, c, 1)[buf] == 0 ==> c != buf",
-            "x * y < 3 * x || !(cmd >= 1) || m[x + y] == 0",
-            "true <==> (false || x <= -y)",
-            // Repeats share both the arena node and the translation memo.
-            "Freed[c] == 0 && Freed[buf] == 0",
-        ] {
-            let f = parse_formula(src).expect("parses");
-            let expected = formula_to_term(&mut ctx, &env, &f).expect("translates");
-            let fid = arena.intern_formula(&f);
-            let got =
-                interned_to_term(&mut ctx, &env, &mut arena, fid, &mut memo).expect("translates");
-            assert_eq!(got, expected, "{src}");
-        }
-        assert!(arena.stats().translate_hits > 0, "repeat must hit the memo");
     }
 
     #[test]

@@ -16,19 +16,13 @@
 //! existentially is equisatisfiable with "some execution fails", which is
 //! exactly the check `VC(pr) ≡ ¬wp(body, true)` of §4.1.
 //!
-//! As a *tree* transformer this is exponential in the worst case (the
+//! As a tree transformer this is exponential in the worst case (the
 //! paper notes the same, which is why verifiers passify first): every
-//! branch duplicates the postcondition. The default entry point therefore
-//! runs over a hash-consed [`TermArena`] ([`wp_interned`]), where both
-//! branches reference one interned postcondition and the per-branch
-//! substitutions are memoized by id — a depth-N diamond chain costs O(N)
-//! interned nodes instead of O(2^N) tree nodes. [`wp`] externalizes the
-//! interned result, so callers that want the boxed tree (examples, tests)
-//! still pay the tree's size, but only once at the end. The original tree
-//! recursion is kept as [`wp_reference`] for equivalence tests and
-//! benchmarks.
+//! branch duplicates the postcondition. The analysis never calls it —
+//! [`crate::analyzer::ProcAnalyzer`] encodes by symbolic execution with
+//! ite-merging — so it serves as the paper's definition for tests and
+//! examples.
 
-use acspec_ir::arena::{TermArena, TermId};
 use acspec_ir::expr::{Expr, Formula};
 use acspec_ir::stmt::{BranchCond, Stmt};
 
@@ -42,105 +36,13 @@ pub struct WpResult {
     pub universals: Vec<String>,
 }
 
-/// The result of an arena-backed weakest-precondition computation.
-#[derive(Debug, Clone)]
-pub struct WpInterned {
-    /// The (quantifier-free) weakest precondition as an interned term.
-    pub formula: TermId,
-    /// Fresh variables introduced for `havoc` and `if (*)`; they are
-    /// implicitly universally quantified in `formula`.
-    pub universals: Vec<String>,
-}
-
-/// Computes `wp(body, post)` as a boxed formula tree.
-///
-/// Internally delegates to [`wp_interned`] over a scratch arena and
-/// externalizes the result; the output is byte-identical to the
-/// historical tree recursion ([`wp_reference`], pinned by tests).
+/// Computes `wp(body, post)` by the tree recursion of the module docs.
+/// Exponential in branch depth: do not call on deep branching code.
 ///
 /// # Panics
 ///
 /// Panics if the body is not core (contains `call`/`while`).
 pub fn wp(body: &Stmt, post: &Formula) -> WpResult {
-    let mut arena = TermArena::new();
-    let post_id = arena.intern_formula(post);
-    let r = wp_interned(&mut arena, body, post_id);
-    WpResult {
-        formula: arena.extern_formula(r.formula),
-        universals: r.universals,
-    }
-}
-
-/// Computes `wp(body, post)` over a hash-consed arena: `if` branches
-/// share the single interned postcondition and substitution is memoized
-/// per `(term, var, replacement)`, so repeated subterms are transformed
-/// once.
-///
-/// # Panics
-///
-/// Panics if the body is not core (contains `call`/`while`).
-pub fn wp_interned(arena: &mut TermArena, body: &Stmt, post: TermId) -> WpInterned {
-    let mut fresh = FreshNames::default();
-    let formula = go_interned(arena, body, post, &mut fresh);
-    WpInterned {
-        formula,
-        universals: fresh.names,
-    }
-}
-
-fn go_interned(arena: &mut TermArena, s: &Stmt, post: TermId, fresh: &mut FreshNames) -> TermId {
-    match s {
-        Stmt::Skip => post,
-        Stmt::Assume(f) => {
-            let fid = arena.intern_formula(f);
-            let nf = arena.not(fid);
-            arena.or(vec![nf, post])
-        }
-        Stmt::Assert { cond, .. } => {
-            let cid = arena.intern_formula(cond);
-            arena.and(vec![cid, post])
-        }
-        Stmt::Assign(x, e) => {
-            let eid = arena.intern_expr(e);
-            arena.subst(post, x, eid)
-        }
-        Stmt::Havoc(x) => {
-            let x2 = fresh.fresh(x);
-            let vid = arena.intern_expr(&Expr::var(x2));
-            arena.subst(post, x, vid)
-        }
-        Stmt::Seq(ss) => ss
-            .iter()
-            .rev()
-            .fold(post, |acc, stmt| go_interned(arena, stmt, acc, fresh)),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let wt = go_interned(arena, then_branch, post, fresh);
-            let we = go_interned(arena, else_branch, post, fresh);
-            match cond {
-                BranchCond::Det(c) => {
-                    let cid = arena.intern_formula(c);
-                    let ncid = arena.not(cid);
-                    let left = arena.or(vec![ncid, wt]);
-                    let right = arena.or(vec![cid, we]);
-                    arena.and(vec![left, right])
-                }
-                BranchCond::NonDet => arena.and(vec![wt, we]),
-            }
-        }
-        Stmt::Call { .. } | Stmt::While { .. } => {
-            panic!("wp requires a core (desugared) body")
-        }
-    }
-}
-
-/// The historical tree-cloning recursion, kept as the equivalence oracle
-/// for [`wp`] (and as the exponential side of the diamond benchmark).
-/// Exponential in branch depth: do not call on deep branching code.
-pub fn wp_reference(body: &Stmt, post: &Formula) -> WpResult {
     let mut fresh = FreshNames::default();
     let formula = go(body, post.clone(), &mut fresh);
     WpResult {
@@ -314,66 +216,6 @@ mod tests {
         let mut st = State::new();
         st.set(r.universals[0].clone(), Value::Int(0));
         assert!(!acspec_ir::interp::eval_formula(&st, &r.formula).expect("evaluates"));
-    }
-
-    /// N guarded asserts over a shared continuation: the boxed-tree wp
-    /// duplicates the postcondition at every level (O(2^N) tree) while the
-    /// arena shares it by id (O(N) interned nodes).
-    fn diamond_src(depth: usize) -> String {
-        let mut body = String::new();
-        for i in 0..depth {
-            body.push_str(&format!("if (x == {i}) {{ assert y > {i}; }}\n"));
-        }
-        format!("procedure diamond(x: int, y: int) {{\n{body}}}")
-    }
-
-    #[test]
-    fn wp_matches_reference_tree_recursion() {
-        let srcs = [
-            "procedure f(x: int, y: int) {
-               y := x + 1;
-               if (x < y) { assert x != 0; } else { havoc y; assert y != 0; }
-               if (*) { assume x >= 0; assert x + y >= y; }
-             }",
-            "procedure f(m: map, i: int) {
-               m[i] := 1;
-               assert m[i + 1] == 0;
-             }",
-        ];
-        for src in srcs.iter().map(|s| s.to_string()).chain([diamond_src(6)]) {
-            let body = core_body(&src);
-            for post in [
-                Formula::True,
-                acspec_ir::parse::parse_formula("x >= 0").expect("f"),
-            ] {
-                let fast = wp(&body, &post);
-                let slow = wp_reference(&body, &post);
-                assert_eq!(fast.formula, slow.formula, "src={src}");
-                assert_eq!(fast.universals, slow.universals, "src={src}");
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_wp_is_linear_in_the_arena_and_exponential_as_a_tree() {
-        let depth = 24;
-        let body = core_body(&diamond_src(depth));
-        let mut arena = TermArena::new();
-        let post = arena.intern_formula(&Formula::True);
-        let r = wp_interned(&mut arena, &body, post);
-        let interned = arena.stats().interned_nodes;
-        // Linear: a small constant number of distinct nodes per level.
-        assert!(
-            interned <= 24 * depth as u64,
-            "expected O(depth) interned nodes, got {interned} at depth {depth}"
-        );
-        // The same result expanded as a tree is exponential — the tree
-        // recursion would have materialized all of these nodes.
-        assert!(
-            arena.tree_size(r.formula) > 1u64 << depth,
-            "diamond tree must double per level"
-        );
-        assert!(arena.stats().subst_hits + arena.stats().intern_hits > 0);
     }
 
     #[test]

@@ -222,6 +222,67 @@ fn deep_nesting_is_a_located_usage_error() {
         assert!(stdout.contains("procedure f"), "256 deep {what}:\n{stdout}");
         let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
     }
+
+    // Each early return guards the rest of its function and each case
+    // tests below the ones before it, one level deeper each. Past the
+    // lowering cap that is a located error.
+    let returns: String = (0..5_000)
+        .map(|i| format!("  if (x == {i}) {{ return {i}; }}\n"))
+        .collect();
+    let cases: String = (0..5_000)
+        .map(|i| format!("  case {i}: return {i};\n"))
+        .collect();
+    for (shape, body) in [
+        ("early returns", returns),
+        ("switch cases", format!("  switch (x) {{\n{cases}  }}\n")),
+    ] {
+        let source =
+            format!("int g(int x) {{\n  return x;\n}}\nint f(int x) {{\n{body}  return -1;\n}}\n");
+        let (out, input) = acspec_on_source("deep-guards", "c", &source, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "5,000 {shape}: {stderr}");
+        let located = stderr
+            .strip_prefix(&format!("error: {}:", input.display()))
+            .and_then(|rest| rest.split_once(": early returns and switch cases nest"))
+            .is_some_and(|(line, _)| line.parse::<u32>().is_ok());
+        assert!(
+            located,
+            "5,000 {shape} need a file:line diagnostic:\n{stderr}"
+        );
+        let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
+    }
+}
+
+/// d nested loops unroll their body 2^d times. Past the desugarer's
+/// bound the procedure is an incident that names it, and the file's
+/// other procedure is still analysed.
+#[test]
+fn exponential_loop_unrolling_is_an_incident() {
+    let depth = 24;
+    let mut source = String::from("int other(int *p) {\n  return *p;\n}\nint deep(int x) {\n");
+    for k in 0..depth {
+        source.push_str(&format!("  while (x > {k}) {{\n"));
+    }
+    source.push_str("  x = x - 1;\n");
+    source.push_str(&"  }\n".repeat(depth));
+    source.push_str("  return x;\n}\n");
+    let (out, input) = acspec_on_source("deep-loops", "c", &source, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)),
+        "exit {:?}:\n{stdout}{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("incident: ") && stdout.contains("the loops of `deep` unroll to more than"),
+        "{depth} nested loops must be an incident naming `deep`:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("procedure other:\n  [Conc]"),
+        "`other` must still be analysed:\n{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(input.parent().expect("temp dir"));
 }
 
 /// A C condition of k `||`-pairs joined by `&&` lowers its branch 2^k
